@@ -140,32 +140,38 @@ def run_batch_case(code: str, scale: float) -> dict:
     dense = [t for t in tasks if t.universe is not None and len(t.cands)]
     rest = [t for t in tasks if t.universe is None or not len(t.cands)]
 
-    def run_unbatched() -> Counters:
+    def run_unbatched() -> tuple[Counters, BicliqueCounter]:
         total = Counters()
         sink = BicliqueCounter()
         for t in tasks:
             run_task_with_node_buffer(g, counter, t, sink, total)
-        return total
+        return total, sink
 
-    def run_batched() -> Counters:
+    def run_batched() -> tuple[Counters, BicliqueCounter]:
         total = Counters()
         sink = BicliqueCounter()
         for i in range(0, len(dense), BATCH_SIZE):
-            run_batch([
+            chunk = dense[i : i + BATCH_SIZE]
+            out = run_batch([
                 BatchMember(
                     universe=t.universe, left=t.left, right=t.right,
                     cands=t.cands, counts=t.counts, counters=total,
-                    sink=sink,
                 )
-                for t in dense[i : i + BATCH_SIZE]
+                for t in chunk
             ])
+            # Deliver every emission, as the sequential side does.
+            for j in range(len(chunk)):
+                for left, right in out.pairs(j):
+                    sink(left, right)
         for t in rest:
             run_task_with_node_buffer(g, counter, t, sink, total)
-        return total
+        return total, sink
 
-    # Batching must be cycle-neutral: identical Counters either way.
-    c_seq, c_bat = run_unbatched(), run_batched()
+    # Batching must be cycle-neutral: identical Counters either way, and
+    # the same emissions delivered.
+    (c_seq, s_seq), (c_bat, s_bat) = run_unbatched(), run_batched()
     assert vars(c_seq) == vars(c_bat), (code, vars(c_seq), vars(c_bat))
+    assert vars(s_seq) == vars(s_bat), (code, vars(s_seq), vars(s_bat))
 
     unbatched_ms = _time_best(run_unbatched, BATCH_REPEATS)
     batched_ms = _time_best(run_batched, BATCH_REPEATS)

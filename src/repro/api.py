@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import os
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def enumerate_maximal_bicliques(
     algorithm: str = "gmbe",
     min_left: int = 1,
     min_right: int = 1,
-    config: GMBEConfig | str | None = None,
+    config: GMBEConfig | Mapping | str | None = None,
     tuning_store=None,
     tune_on_miss: bool = False,
     fault_plan=None,
@@ -127,7 +128,8 @@ def enumerate_maximal_bicliques(
         Only return bicliques with at least this many vertices per side
         (filtering happens after enumeration; maximality is global).
     config:
-        Optional :class:`GMBEConfig` for the GMBE variants, or the
+        Optional :class:`GMBEConfig` for the GMBE variants (a mapping of
+        its fields is accepted via :meth:`GMBEConfig.from_dict`), or the
         string ``"tuned"`` to use the per-graph autotuned configuration
         (GMBE variants only): the :mod:`repro.tuning` store is consulted
         under the graph's fingerprint; a hit resolves the config with
@@ -206,13 +208,19 @@ def enumerate_maximal_bicliques(
                 "injection (crashed shards resume automatically from "
                 "their own checkpoints)"
             )
+    if isinstance(config, Mapping):
+        config = GMBEConfig.from_dict(dict(config))
+    elif not (
+        config is None
+        or isinstance(config, GMBEConfig)
+        or (isinstance(config, str) and config == "tuned")
+    ):
+        raise ValueError(
+            "config must be a GMBEConfig, a mapping of GMBEConfig fields, "
+            f"or the string 'tuned', got {config!r}"
+        )
     graph = as_bipartite_graph(data)
     if isinstance(config, str):
-        if config != "tuned":
-            raise ValueError(
-                f"config must be a GMBEConfig or the string 'tuned', "
-                f"got {config!r}"
-            )
         if algorithm in ("gmbe", "gmbe-host"):
             from .tuning import TunedConfigStore, resolve_config
 

@@ -3,12 +3,14 @@ the parallel CPU baseline (ParMBE), their shared enumeration engine, and
 the brute-force reference oracle."""
 
 from .batch import (
+    BatchEmissions,
     BatchMember,
     BatchStats,
     batch_gamma_matches,
     batch_intersect,
     batch_popcount,
     batch_subset_mask,
+    lane_state_bytes,
     ragged_split,
     ragged_stack,
     run_batch,
@@ -38,6 +40,7 @@ from .reference import maximal_biclique_count_reference, reference_mbe
 from .tasks import RootTask, build_root_task
 
 __all__ = [
+    "BatchEmissions",
     "BatchMember",
     "BatchStats",
     "Biclique",
@@ -47,6 +50,7 @@ __all__ = [
     "batch_intersect",
     "batch_popcount",
     "batch_subset_mask",
+    "lane_state_bytes",
     "ragged_split",
     "ragged_stack",
     "resolve_backend",

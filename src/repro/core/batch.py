@@ -21,6 +21,16 @@ own true ``n_words``/scope size exactly as the sequential path would be
 — so simulated-cycle figures, checkpoints, fault injection, and
 telemetry phase attribution are unaffected by batching (DESIGN.md §10).
 
+Each round costs a fixed number of numpy calls however many lanes are
+live, including the decode of every maximal node the round found, so
+the kernel's ``batch_tasks="auto"`` runs up to 128 lanes.  Memory stays
+flat at that width: a batch's emissions come back as one ragged
+:class:`BatchEmissions` buffer (no per-biclique arrays until a consumer
+slices them), per-lane count state uses the narrowest dtype the mask
+width allows, and the kernel admits lanes only while
+:func:`lane_state_bytes` of every padded array stays within its byte
+budget.
+
 Primitives (:func:`batch_intersect`, :func:`batch_popcount`,
 :func:`batch_subset_mask`, :func:`ragged_stack`/:func:`ragged_split`)
 are exposed separately: the kernel's batched maximality check and the
@@ -31,32 +41,39 @@ numba/cython backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
 from .bicliques import Counters
-from .bitset import BitsetUniverse, from_sorted, popcount_words, to_sorted
+from .bitset import WORD_BITS, BitsetUniverse, from_sorted, popcount_words
 
 __all__ = [
+    "BatchEmissions",
     "BatchMember",
     "BatchStats",
     "batch_gamma_matches",
     "batch_intersect",
     "batch_popcount",
     "batch_subset_mask",
+    "lane_state_bytes",
     "ragged_split",
     "ragged_stack",
     "run_batch",
 ]
 
+#: Per-lane candidate state: depth markers are bounded by a candidate
+#: count, so 32 bits suffice (half the sequential path's ``int64``).
+_STATE = np.int32
 #: Candidate-state sentinel for "still a candidate" — mirrors
-#: :data:`repro.gmbe.node_buffer.INF_DEPTH`.
-_INF = np.iinfo(np.int64).max
+#: :data:`repro.gmbe.node_buffer.INF_DEPTH` in the narrower dtype.
+_INF = np.iinfo(_STATE).max
 #: Padding state for slots beyond a member's real candidate count; acts
 #: like a permanently excluded root-level candidate (never INF, never
 #: matches any depth marker ≥ 1 or ≤ -2).
 _PAD = -1
+#: Undo-stack depth a batch starts with before growing on demand.
+_FIRST_LEVELS = 8
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +169,7 @@ def batch_gamma_matches(
 class BatchMember:
     """One dense task joining a lockstep round: the same fields
     :func:`repro.gmbe.host.run_task_with_node_buffer` consumes, plus the
-    sink and counters the sequential path would have used."""
+    counters the sequential path would have charged."""
 
     universe: BitsetUniverse
     left: np.ndarray
@@ -160,7 +177,6 @@ class BatchMember:
     cands: np.ndarray
     counts: np.ndarray
     counters: Counters
-    sink: Callable[[np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -172,26 +188,101 @@ class BatchStats:
     tasks_per_round: list[int] = field(default_factory=list)
 
 
+class BatchEmissions:
+    """Every biclique one :func:`run_batch` call reported, as one flat
+    ragged buffer.
+
+    Emission ``e`` is ``left[left_ptr[e]:left_ptr[e+1]]`` (sorted U ids)
+    and ``right[right_ptr[e]:right_ptr[e+1]]`` (sorted V ids), both
+    ``int32``.  Emissions are stored in lockstep-round order;
+    ``order[member_ptr[i]:member_ptr[i+1]]`` lists member ``i``'s
+    emission ids in that member's own traversal order.  Nothing per
+    biclique is materialized until :meth:`pairs` slices it.
+    """
+
+    __slots__ = (
+        "left", "left_ptr", "right", "right_ptr", "order", "member_ptr"
+    )
+
+    def __init__(self, left, left_ptr, right, right_ptr, order, member_ptr):
+        self.left = left
+        self.left_ptr = left_ptr
+        self.right = right
+        self.right_ptr = right_ptr
+        self.order = order
+        self.member_ptr = member_ptr
+
+    @classmethod
+    def empty(cls, n_members: int) -> "BatchEmissions":
+        none = np.zeros(0, dtype=np.int32)
+        ptr = np.zeros(1, dtype=np.int64)
+        return cls(
+            none, ptr, none, ptr, np.zeros(0, dtype=np.intp),
+            np.zeros(n_members + 1, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def pairs(self, member: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Member ``member``'s ``(left, right)`` emissions in traversal
+        order, sliced (as views) one at a time."""
+        ids = self.order[self.member_ptr[member] : self.member_ptr[member + 1]]
+        lo = self.left_ptr[ids].tolist()
+        hi = self.left_ptr[ids + 1].tolist()
+        ro = self.right_ptr[ids].tolist()
+        rh = self.right_ptr[ids + 1].tolist()
+        left, right = self.left, self.right
+        for a, b, c, d in zip(lo, hi, ro, rh):
+            yield left[a:b], right[c:d]
+
+
+def lane_state_bytes(
+    k: int, n_scope: int, n_words: int, n_cands: int, stack_depth: int
+) -> int:
+    """Size in bytes of the largest padded array :func:`run_batch` can
+    allocate for ``k`` lanes whose largest member has ``n_scope`` scope
+    rows, ``n_words`` mask words, ``n_cands`` candidates and at most
+    ``stack_depth`` undo-stack levels (the stacks grow on demand, so
+    this is their worst case).
+
+    The scope matrix also bounds the per-round AND temporary, so keeping
+    this under a budget bounds the batch's transient memory.
+    """
+    nls_bytes = np.min_scalar_type(WORD_BITS * n_words).itemsize
+    return k * max(
+        n_scope * n_words * 8,  # scope_rows, and each round's AND
+        stack_depth * n_words * 8,  # masks
+        stack_depth * n_cands * nls_bytes,  # nls_stack
+        n_cands * 4,  # cand_state, cand_vids
+        n_words * WORD_BITS * 4,  # left-id decode table
+    )
+
+
 def run_batch(
     members: list[BatchMember],
     *,
     prune: bool = True,
     stats: BatchStats | None = None,
-) -> None:
+) -> BatchEmissions:
     """Enumerate every member's subtree in vectorized lockstep.
 
-    Emissions (per task, in traversal order) and per-task ``Counters``
-    charges are bit-identical to running each member through
+    Returns the members' emissions as one :class:`BatchEmissions`
+    (member ``i`` of the result is ``members[i]``).  Each member's
+    emissions — arrays, dtypes and order — and its ``Counters`` charges
+    are bit-identical to running it through
     :func:`repro.gmbe.host.run_task_with_node_buffer` alone; only the
     Python-level work is amortized across the batch.
     """
-    live = [m for m in members if len(m.cands)]
-    if not live:
-        return
+    live_ids = [i for i, m in enumerate(members) if len(m.cands)]
+    if not live_ids:
+        return BatchEmissions.empty(len(members))
+    live = [members[i] for i in live_ids]
     k = len(live)
     w_per = np.array([m.universe.n_words for m in live], dtype=np.int64)
     s_per = np.array([len(m.universe.scope) for m in live], dtype=np.int64)
     c_per = np.array([len(m.cands) for m in live], dtype=np.int64)
+    r_per = np.array([len(m.right) for m in live], dtype=np.int64)
     w_max = int(w_per.max())
     s_max = int(s_per.max())
     c_max = int(c_per.max())
@@ -201,24 +292,37 @@ def run_batch(
         np.array([len(m.left) for m in live], dtype=np.int64), c_per
     )
     d_cap = int(d_per.max()) + 1
+    # Local-neighbourhood sizes never exceed a universe's bit count.
+    nls_dtype = np.min_scalar_type(WORD_BITS * w_max)
 
     # Stacked state, padded rectangular.  Padding rows/slots are inert:
     # zero scope rows count 0 < |L'| (L' nonempty at every push), and
     # padded candidate slots carry the _PAD state, never INF.
     scope_rows = np.zeros((k, s_max, w_max), dtype=np.uint64)
-    cand_rows = np.zeros((k, c_max), dtype=np.int64)
+    cand_rows = np.zeros((k, c_max), dtype=np.min_scalar_type(s_max))
     cand_vids = np.zeros((k, c_max), dtype=np.int32)
-    cand_state = np.full((k, c_max), _PAD, dtype=np.int64)
-    nls = np.zeros((k, c_max), dtype=np.int64)
-    masks = np.zeros((k, d_cap + 1, w_max), dtype=np.uint64)
-    nls_stack = np.zeros((k, d_cap + 1, c_max), dtype=np.int64)
-    prune_stack = np.zeros((k, d_cap + 1, c_max), dtype=bool)
-    trav_stack = np.zeros((k, d_cap + 1), dtype=np.int64)
-    join_stack = np.zeros((k, d_cap + 1), dtype=np.int64)
-    depth = np.zeros(k, dtype=np.int64)
-    right_size = np.zeros(k, dtype=np.int64)
-    uni_left: list[np.ndarray] = []
-    right_root: list[np.ndarray] = []
+    cand_state = np.full((k, c_max), _PAD, dtype=_STATE)
+    nls = np.zeros((k, c_max), dtype=nls_dtype)
+    # Per-depth undo stacks start shallow and double on demand up to
+    # the d_cap bound, which real subtrees rarely approach.
+    levels = min(d_cap + 1, _FIRST_LEVELS)
+    masks = np.zeros((k, levels, w_max), dtype=np.uint64)
+    nls_stack = np.zeros((k, levels, c_max), dtype=nls_dtype)
+    prune_stack = np.zeros((k, levels, c_max), dtype=bool)
+    trav_stack = np.zeros((k, levels), dtype=np.intp)
+    join_stack = np.zeros((k, levels), dtype=np.int64)
+    depth = np.zeros(k, dtype=_STATE)
+    right_size = r_per.copy()
+    # Emission decode tables: a lane's mask bit b is U id
+    # left_ids[left_base[lane] + b]; its root R is the first r_per[lane]
+    # entries of root_right[lane].
+    left_ids = np.concatenate([m.universe.left for m in live]).astype(
+        np.int32, copy=False
+    )
+    left_base = np.zeros(k, dtype=np.int64)
+    np.cumsum([m.universe.n_bits for m in live[:-1]], out=left_base[1:])
+    root_right = np.zeros((k, int(r_per.max())), dtype=np.int32)
+    root_right_on = np.arange(root_right.shape[1]) < r_per[:, None]
 
     for t, m in enumerate(live):
         u = m.universe
@@ -230,9 +334,7 @@ def run_batch(
         masks[t, 0, : w_per[t]] = from_sorted(
             u.left_positions(m.left), u.n_bits
         )
-        right_size[t] = len(m.right)
-        uni_left.append(u.left)
-        right_root.append(np.asarray(m.right, dtype=np.int32))
+        root_right[t, : r_per[t]] = m.right
 
     # Per-task accumulators, folded into each member's Counters at the
     # end — identical totals to the sequential path's incremental adds.
@@ -243,6 +345,12 @@ def run_batch(
     acc_nonmax = np.zeros(k, dtype=np.int64)
     acc_pruned = np.zeros(k, dtype=np.int64)
     acc_peak = np.zeros(k, dtype=np.int64)
+    # Per-round emission pieces, concatenated once at the end.
+    out_lane: list[np.ndarray] = []
+    out_left: list[np.ndarray] = []
+    out_left_len: list[np.ndarray] = []
+    out_right: list[np.ndarray] = []
+    out_right_len: list[np.ndarray] = []
 
     def pop_rows(rows: np.ndarray) -> None:
         """Vectorized :meth:`NodeBuffer.pop` over task rows ``rows``."""
@@ -300,6 +408,13 @@ def run_batch(
         ci = np.concatenate(push_i)
         p = len(P)
         nd = depth[P] + 1
+        top = int(nd.max())
+        if top >= masks.shape[1]:
+            levels = min(2 * top, d_cap + 1)
+            masks, nls_stack, prune_stack, trav_stack, join_stack = (
+                _deepen(a, levels)
+                for a in (masks, nls_stack, prune_stack, trav_stack, join_stack)
+            )
 
         # Phase B — batched push (Alg. 2 lines #8–14): one stacked AND +
         # popcount serves every task's node generation and maximality
@@ -307,9 +422,11 @@ def run_batch(
         vrow = cand_rows[P, ci]
         new_mask = masks[P, depth[P]] & scope_rows[P, vrow]
         masks[P, nd] = new_mask
-        counts_scope = batch_popcount(scope_rows[P] & new_mask[:, None, :])
+        scoped = scope_rows[P]
+        scoped &= new_mask[:, None, :]
+        counts_scope = popcount_words(scoped).sum(axis=-1, dtype=nls_dtype)
         n_left = batch_popcount(new_mask)
-        counts = np.take_along_axis(counts_scope, cand_rows[P], axis=1)
+        counts = counts_scope[np.arange(p)[:, None], cand_rows[P]]
 
         cs = cand_state[P]
         cur = cs == _INF
@@ -354,18 +471,31 @@ def run_batch(
             + 3
         )
 
-        # Phase C — report maximal nodes; non-maximal nodes are never
-        # descended into (undone immediately, as in Alg. 2).
-        for j in np.nonzero(maximal)[0]:
-            t = int(P[j])
-            m = live[t]
-            left_ids = uni_left[t][to_sorted(new_mask[j, : w_per[t]])]
-            st = cand_state[t]
-            joined_vids = cand_vids[t][(st >= 1) & (st <= depth[t])]
-            m.sink(
-                left_ids,
-                np.sort(np.concatenate([right_root[t], joined_vids])),
+        # Phase C — decode every maximal node of the round at once; non-
+        # maximal nodes are never descended into (undone immediately, as
+        # in Alg. 2).
+        hit = np.nonzero(maximal)[0]
+        if len(hit):
+            T = P[hit]
+            bits = np.unpackbits(
+                new_mask[hit].astype("<u8", copy=False).view(np.uint8),
+                axis=1,
+                bitorder="little",
             )
+            row, pos = np.nonzero(bits)
+            out_left.append(left_ids[left_base[T][row] + pos])
+            out_left_len.append(np.bincount(row, minlength=len(T)))
+            # R' = root R ∪ candidates joined along the current path.
+            st = cand_state[T]
+            j_row, j_col = np.nonzero((st >= 1) & (st <= depth[T][:, None]))
+            r_row, r_col = np.nonzero(root_right_on[T])
+            rows = np.concatenate([r_row, j_row])
+            vids = np.concatenate(
+                [root_right[T[r_row], r_col], cand_vids[T[j_row], j_col]]
+            )
+            out_right.append(vids[np.lexsort((vids, rows))])
+            out_right_len.append(right_size[T])
+            out_lane.append(T)
         nonmax_rows = P[~maximal]
         if len(nonmax_rows):
             pop_rows(nonmax_rows)
@@ -379,3 +509,30 @@ def run_batch(
         c.set_op_work += int(acc_work[t])
         c.simt_cycles += int(acc_simt[t])
         c.peak_stack_depth = max(c.peak_stack_depth, int(acc_peak[t]))
+
+    if not out_lane:
+        return BatchEmissions.empty(len(members))
+    owner = np.asarray(live_ids, dtype=np.int64)[np.concatenate(out_lane)]
+    per_member = np.bincount(owner, minlength=len(members))
+    return BatchEmissions(
+        np.concatenate(out_left),
+        _offsets(np.concatenate(out_left_len)),
+        np.concatenate(out_right),
+        _offsets(np.concatenate(out_right_len)),
+        np.argsort(owner, kind="stable"),
+        _offsets(per_member),
+    )
+
+
+def _deepen(stack: np.ndarray, levels: int) -> np.ndarray:
+    """Copy a ``(k, depth, ...)`` undo stack into ``levels`` depths."""
+    out = np.zeros(stack.shape[:1] + (levels,) + stack.shape[2:], stack.dtype)
+    out[:, : stack.shape[1]] = stack
+    return out
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(lengths)...]`` — ragged slice bounds."""
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr

@@ -31,16 +31,18 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from ..core import sets
 from ..core.batch import (
+    BatchEmissions,
     BatchMember,
     BatchStats,
     batch_gamma_matches,
+    lane_state_bytes,
     run_batch,
 )
 from ..core.bicliques import (
@@ -109,13 +111,14 @@ def _discard_sink(left, right) -> None:
     """Sink for re-executed tasks: emissions are known duplicates."""
 
 
-#: Padded-cell budget for one stacked batch: caps both the scope matrix
-#: (``k·S_max·W_max`` words) and the per-depth stacks (``k·D_max·C_max``
-#: cells) so an outlier task cannot blow the rectangular padding up.
-_BATCH_CELL_CAP = 1 << 21
+#: Byte budget for each padded array of one lockstep batch (see
+#: :func:`repro.core.batch.lane_state_bytes`): admission stops widening
+#: a batch once a candidate would push any array past it, so an outlier
+#: task cannot blow the rectangular padding up.
+_BATCH_ARRAY_BYTES = 1 << 20
 
 #: Batch size used by ``batch_tasks="auto"``.
-_AUTO_BATCH = 32
+_AUTO_BATCH = 128
 
 
 @dataclass
@@ -124,15 +127,11 @@ class _BatchSlot:
 
     task: "SubtreeTask"
     counters: Counters
-    emissions: list = field(default_factory=list)
-    #: first ledger sequence number: 0 when the slot's own node biclique
-    #: is among the emissions (dequeue-checked split children), else 1
-    first_seq: int = 1
+    #: the task's own node biclique passed its dequeue check and is
+    #: delivered first (ledger seq 0)
+    own: bool = False
     base: float = 0.0
     failed: bool = False
-
-    def sink(self, left, right) -> None:
-        self.emissions.append((left, right))
 
 
 @dataclass
@@ -141,8 +140,12 @@ class _BatchedOutcome:
 
     cycles: float
     counters: Counters
-    emissions: list
-    first_seq: int
+    #: the whole batch's ragged emissions (shared by its members) and
+    #: this task's member index in them; None when the task failed its
+    #: dequeue check
+    emissions: BatchEmissions | None
+    member: int
+    own: bool
 
 
 def _should_split(task, config: GMBEConfig) -> bool:
@@ -593,10 +596,8 @@ def gmbe_gpu(
             cmax = max(dims[2], len(t.cands), 1)
             dmax = max(dims[3], min(len(t.left), len(t.cands)) + 2)
             kk = len(members) + 1
-            if (
-                kk * smax * wmax > _BATCH_CELL_CAP
-                or kk * dmax * cmax > _BATCH_CELL_CAP
-            ):
+            size = lane_state_bytes(kk, smax, wmax, cmax, dmax)
+            if size > _BATCH_ARRAY_BYTES:
                 return
             dims[0], dims[1], dims[2], dims[3] = smax, wmax, cmax, dmax
             members.append(t)
@@ -655,13 +656,13 @@ def gmbe_gpu(
             for s, ok in zip(checks, oks):
                 if ok:
                     s.counters.maximal += 1
-                    s.emissions.append((s.task.left, s.task.right))
-                    s.first_seq = 0
+                    s.own = True
                     s.base = duration(s.counters)
                 else:
                     s.counters.non_maximal += 1
                     s.failed = True
-        run_batch(
+        runs = [s for s in slots if not s.failed]
+        emissions = run_batch(
             [
                 BatchMember(
                     universe=s.task.universe,
@@ -670,23 +671,21 @@ def gmbe_gpu(
                     cands=s.task.cands,
                     counts=s.task.counts,
                     counters=s.counters,
-                    sink=s.sink,
                 )
-                for s in slots
-                if not s.failed
+                for s in runs
             ],
             prune=config.prune,
             stats=batch_stats,
         )
-        for s in slots:
-            cycles = (
-                duration(s.counters)
-                if s.failed
-                else s.base + duration(s.counters)
-            )
+        for i, s in enumerate(runs):
             batch_cache[s.task.lineage] = _BatchedOutcome(
-                cycles, s.counters, s.emissions, s.first_seq
+                s.base + duration(s.counters), s.counters, emissions, i, s.own
             )
+        for s in slots:
+            if s.failed:
+                batch_cache[s.task.lineage] = _BatchedOutcome(
+                    duration(s.counters), s.counters, None, 0, False
+                )
 
     def _consume_batched(task: SubtreeTask, out: _BatchedOutcome) -> ExecOutcome:
         if executed_set is not None:
@@ -697,14 +696,21 @@ def gmbe_gpu(
         else:
             suppress = False
         if not suppress:
+            pairs = (
+                out.emissions.pairs(out.member)
+                if out.emissions is not None
+                else ()
+            )
             if keep_records:
                 lin = task.lineage
-                seq = out.first_seq
-                for left, right in out.emissions:
+                if out.own:
+                    ledger.emit(lin, 0, task.left, task.right)
+                for seq, (left, right) in enumerate(pairs, 1):
                     ledger.emit(lin, seq, left, right)
-                    seq += 1
             else:
-                for left, right in out.emissions:
+                if out.own:
+                    emit(task.left, task.right)
+                for left, right in pairs:
                     emit(left, right)
         master.merge(out.counters)
         return ExecOutcome(cycles=out.cycles)

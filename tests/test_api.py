@@ -1,5 +1,7 @@
 """Tests for the high-level convenience API."""
 
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -95,6 +97,28 @@ class TestEnumerate:
     def test_bad_config_string_rejected(self):
         with pytest.raises(ValueError, match="tuned"):
             enumerate_maximal_bicliques(MATRIX, config="fastest")
+
+    @pytest.mark.parametrize("algorithm", ["gmbe", "gmbe-host"])
+    def test_mapping_config_accepted(self, algorithm):
+        from repro.gmbe import GMBEConfig
+
+        fields = {"batch_tasks": "off", "prune": False}
+        out = enumerate_maximal_bicliques(
+            MATRIX, algorithm=algorithm, config=fields
+        )
+        assert out == enumerate_maximal_bicliques(
+            MATRIX, algorithm=algorithm, config=GMBEConfig(**fields)
+        )
+        assert out == enumerate_maximal_bicliques(MATRIX)
+
+    def test_mapping_config_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="batch_taks"):
+            enumerate_maximal_bicliques(MATRIX, config={"batch_taks": "off"})
+
+    @pytest.mark.parametrize("bad", [5, 2.5, ["batch_tasks"], object()])
+    def test_non_config_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            enumerate_maximal_bicliques(MATRIX, config=bad)
 
 
 class TestSizeFilterValidation:

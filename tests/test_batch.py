@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch_mod
 import repro.gmbe.kernel as kernel_mod
 from repro.core.batch import (
     BatchMember,
@@ -29,6 +30,7 @@ from repro.core.batch import (
     batch_intersect,
     batch_popcount,
     batch_subset_mask,
+    lane_state_bytes,
     ragged_split,
     ragged_stack,
     run_batch,
@@ -158,20 +160,43 @@ def _run_sequential(g, counter, tasks, *, prune=True):
 
 def _run_lockstep(tasks, *, prune=True, stats=None):
     c = Counters()
-    emitted = []
-    run_batch(
+    out = run_batch(
         [
             BatchMember(
                 universe=t.universe, left=t.left, right=t.right,
                 cands=t.cands, counts=t.counts, counters=c,
-                sink=lambda L, R: emitted.append((tuple(L), tuple(R))),
             )
             for t in tasks
         ],
         prune=prune,
         stats=stats,
     )
+    emitted = [
+        (tuple(L), tuple(R))
+        for i in range(len(tasks))
+        for L, R in out.pairs(i)
+    ]
     return c, sorted(emitted)
+
+
+def make_mixed_width(n_u: int, n_v: int, seed: int) -> BipartiteGraph:
+    """V vertices cycle through three densities, so root left sets span
+    1, 2 and 3 uint64 words within one graph."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for v in range(n_v):
+        p = (0.15, 0.5, 0.85)[v % 3]
+        edges += [(int(u), v) for u in np.nonzero(rng.random(n_u) < p)[0]]
+    return BipartiteGraph.from_edges(n_u, n_v, edges)
+
+
+def _per_task_sequential(g, counter, task, *, prune=True):
+    c = Counters()
+    emitted = []
+    run_task_with_node_buffer(
+        g, counter, task, lambda L, R: emitted.append((L, R)), c, prune=prune
+    )
+    return c, emitted
 
 
 class TestRunBatchEquivalence:
@@ -203,6 +228,86 @@ class TestRunBatchEquivalence:
         assert len(stats.tasks_per_round) == stats.rounds
         assert max(stats.tasks_per_round) <= len(tasks)
         assert min(stats.tasks_per_round) >= 1
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_width_members_match_per_task(self, seed, prune):
+        """Multi-word (> 64 left vertices) and 1-word roots share one
+        batch; every member's arrays, dtypes, order and Counters equal
+        its own sequential walk."""
+        g = make_mixed_width(200, 12, seed=seed)
+        counter, tasks = _bitset_root_tasks(g)
+        assert {t.universe.n_words for t in tasks} == {1, 2, 3}
+        counters = [Counters() for _ in tasks]
+        out = run_batch(
+            [
+                BatchMember(
+                    universe=t.universe, left=t.left, right=t.right,
+                    cands=t.cands, counts=t.counts, counters=c,
+                )
+                for t, c in zip(tasks, counters)
+            ],
+            prune=prune,
+        )
+        total = 0
+        for i, (t, c_bat) in enumerate(zip(tasks, counters)):
+            c_seq, e_seq = _per_task_sequential(g, counter, t, prune=prune)
+            e_bat = list(out.pairs(i))
+            assert len(e_bat) == len(e_seq)
+            for (lb, rb), (ls, rs) in zip(e_bat, e_seq):
+                assert lb.dtype == ls.dtype and rb.dtype == rs.dtype
+                np.testing.assert_array_equal(lb, ls)
+                np.testing.assert_array_equal(rb, rs)
+            assert vars(c_bat) == vars(c_seq)
+            total += len(e_seq)
+        assert len(out) == total > 0
+
+    @pytest.mark.parametrize("first_levels", [1, 2])
+    def test_undo_stacks_grow_on_demand(self, monkeypatch, first_levels):
+        monkeypatch.setattr(batch_mod, "_FIRST_LEVELS", first_levels)
+        g = make_mixed_width(200, 12, seed=0)
+        counter, tasks = _bitset_root_tasks(g)
+        c_seq, e_seq = _run_sequential(g, counter, tasks)
+        c_bat, e_bat = _run_lockstep(tasks)
+        assert e_bat == e_seq
+        assert vars(c_bat) == vars(c_seq)
+        assert c_seq.peak_stack_depth > 2 * first_levels  # stacks deepened
+
+    def test_members_without_candidates_keep_their_index(self):
+        g = make_random(24, 18, 0.35, seed=2)
+        counter, tasks = _bitset_root_tasks(g)
+        idle = tasks[0]
+        empty = BatchMember(
+            universe=idle.universe, left=idle.left, right=idle.right,
+            cands=idle.cands[:0], counts=idle.counts[:0], counters=Counters(),
+        )
+        members = [empty] + [
+            BatchMember(
+                universe=t.universe, left=t.left, right=t.right,
+                cands=t.cands, counts=t.counts, counters=Counters(),
+            )
+            for t in tasks[:3]
+        ] + [empty]
+        out = run_batch(members)
+        assert list(out.pairs(0)) == list(out.pairs(4)) == []
+        assert vars(empty.counters) == vars(Counters())
+        for i, t in enumerate(tasks[:3], 1):
+            c_seq, e_seq = _per_task_sequential(g, counter, t)
+            got = [(tuple(L), tuple(R)) for L, R in out.pairs(i)]
+            assert got == [(tuple(L), tuple(R)) for L, R in e_seq]
+            assert vars(members[i].counters) == vars(c_seq)
+
+    def test_empty_batch_returns_empty_emissions(self):
+        out = run_batch([])
+        assert len(out) == 0 and out.member_ptr.tolist() == [0]
+
+    def test_lane_state_bytes_bounds_every_padded_array(self):
+        # 1-word lanes take the narrowest nls dtype; wide ones widen it
+        assert lane_state_bytes(4, 10, 1, 100, 5) == 4 * max(80, 40, 500, 400)
+        assert lane_state_bytes(4, 10, 5, 200, 5) == 4 * 5 * 200 * 2
+        # narrow scopes: the left-id decode table dominates
+        assert lane_state_bytes(4, 2, 5, 10, 3) == 4 * 5 * 64 * 4
+        assert lane_state_bytes(128, 232, 11, 50, 10) == 128 * 232 * 11 * 8
 
     def test_batch_gamma_matches_agrees_with_scalar_gamma(self):
         from repro.core.expand import gamma_matches
@@ -288,6 +393,57 @@ class TestKernelEquivalence:
         )
         assert e_on == e_off
         assert r_on.sim_time == r_off.sim_time
+
+
+class TestDeliveryAndAdmission:
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_delivery_order_and_dtypes_identical(self, relabel):
+        """Unsorted: the kernel delivers the same arrays, in the same
+        order and dtypes, with batching on as off — mixed-width roots."""
+        g = make_mixed_width(200, 12, seed=1)
+
+        def run(batch_tasks):
+            out = []
+
+            def sink(L, R):
+                out.append((L.dtype, R.dtype, tuple(L), tuple(R)))
+
+            config = GMBEConfig(batch_tasks=batch_tasks, set_backend="bitset")
+            return gmbe_gpu(g, sink, config=config, relabel=relabel), out
+
+        r_off, e_off = run("off")
+        r_on, e_on = run("auto")
+        assert e_on == e_off and e_off
+        assert vars(r_on.counters) == vars(r_off.counters)
+        assert r_on.sim_time == r_off.sim_time
+
+    def test_admission_respects_byte_budget(self, monkeypatch):
+        budget = 4096
+        seen = []
+        real = run_batch
+
+        def spy(members, *, prune=True, stats=None):
+            seen.append((
+                len(members),
+                lane_state_bytes(
+                    len(members),
+                    max(len(m.universe.scope) for m in members),
+                    max(m.universe.n_words for m in members),
+                    max(max(len(m.cands), 1) for m in members),
+                    max(min(len(m.left), len(m.cands)) for m in members) + 2,
+                ),
+            ))
+            return real(members, prune=prune, stats=stats)
+
+        monkeypatch.setattr(kernel_mod, "run_batch", spy)
+        monkeypatch.setattr(kernel_mod, "_BATCH_ARRAY_BYTES", budget)
+        g = make_random(26, 20, 0.4, seed=6)
+        r_off, e_off = _enumerate(g, config=GMBEConfig(batch_tasks="off"))
+        r_on, e_on = _enumerate(g, config=GMBEConfig(batch_tasks="auto"))
+        assert e_on == e_off
+        assert vars(r_on.counters) == vars(r_off.counters)
+        assert max(n for n, _ in seen) > 1  # still batching, just narrower
+        assert all(n == 1 or b <= budget for n, b in seen)
 
 
 class TestRobustness:
