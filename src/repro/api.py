@@ -235,6 +235,7 @@ def enumerate_maximal_bicliques(
         else:
             config = None  # CPU baselines take no config; sentinel is moot
     collector = BicliqueCollector()
+    found = collector.bicliques
     if (
         fault_plan is not None or checkpoint_path is not None or resume
     ) and algorithm != "gmbe":
@@ -264,8 +265,8 @@ def enumerate_maximal_bicliques(
             # This function's contract is the complete set; an explicit
             # partial must surface as an error that still carries it.
             raise DegradedShardRun(report)
-        for b in report.bicliques:
-            collector(b.left, b.right)
+        # The merged report already holds canonical, sorted bicliques.
+        found = report.bicliques
     elif algorithm == "gmbe":
         gmbe_gpu(
             graph,
@@ -283,7 +284,7 @@ def enumerate_maximal_bicliques(
         _ALGORITHMS[algorithm](graph, collector)
     out = [
         b
-        for b in collector.bicliques
+        for b in found
         if len(b.left) >= min_left and len(b.right) >= min_right
     ]
     out.sort()

@@ -236,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "breaker, shard-pool liveness) as JSON to PATH "
                        "after the batch")
     p_srv.add_argument("--page-limit", type=int, default=None, metavar="N",
-                       help="serve results as cursor pages of at most N "
-                       "bicliques (the broker then ships compressed "
-                       "stores instead of inline tuples) and print each "
-                       "job's first page")
+                       help="print each job's first cursor page of at "
+                       "most N bicliques, decoded from the job's "
+                       "compressed result store")
 
     p_fl = sub.add_parser(
         "flight", help="inspect degraded-run flight records"
@@ -806,9 +805,6 @@ def _cmd_serve(args) -> int:
         auto_shard_count=args.auto_shard_count,
         shard_pool=args.shard_pool,
         flight_dir=args.flight_dir,
-        # Paged serving: ship results as compressed stores only, never
-        # as inline tuples — O(page) materialized per fetch_page call.
-        inline_results=0 if args.page_limit is not None else None,
     )
     try:
         if batch:
@@ -820,6 +816,7 @@ def _cmd_serve(args) -> int:
         for res in results:
             print(res.describe())
             if args.page_limit is not None and (res.ok or res.partial):
+                # Decodes only this page's records from the result store.
                 items, next_cursor = client.fetch_page(
                     res, limit=args.page_limit
                 )

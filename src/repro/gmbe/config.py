@@ -8,6 +8,7 @@ The Fig. 10 / Fig. 11 sensitivity benchmarks sweep these.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = ["GMBEConfig", "DEFAULT_CONFIG"]
@@ -86,6 +87,18 @@ class GMBEConfig:
     order: str = "degree"
 
     def __post_init__(self) -> None:
+        for name in ("prune", "node_reuse"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        for name in (
+            "bound_height", "bound_size", "warps_per_sm", "max_task_retries"
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.bound_height <= 0 or self.bound_size <= 0:
             raise ValueError("bounds must be positive")
         if self.warps_per_sm <= 0:

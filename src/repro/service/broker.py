@@ -182,7 +182,6 @@ class EnumerationBroker:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         flight_dir: str | None = None,
-        inline_results: int | None = None,
     ) -> None:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
@@ -210,10 +209,6 @@ class EnumerationBroker:
         if breaker_cooldown <= 0:
             raise ValueError(
                 f"breaker_cooldown must be positive, got {breaker_cooldown}"
-            )
-        if inline_results is not None and inline_results < 0:
-            raise ValueError(
-                f"inline_results must be non-negative, got {inline_results}"
             )
         self.n_workers = n_workers
         self.queue_depth = queue_depth
@@ -281,13 +276,6 @@ class EnumerationBroker:
         #: coordinator's black box + this broker's health snapshot) as
         #: ``flight-{job}.json`` under this directory; ``None`` disables.
         self.flight_dir = flight_dir
-        #: materialize ``JobResult.bicliques`` only for results of at
-        #: most this many bicliques; larger results travel exclusively
-        #: as the compressed ``JobResult.store`` (page with
-        #: ``fetch_page``).  ``None`` inlines everything — the legacy
-        #: O(output) behavior.  Either way the *cache* holds the
-        #: compressed store, so the byte budget charges encoded size.
-        self.inline_results = inline_results
         #: pool stats off the most recent degraded sharded run — the
         #: per-worker liveness/restart view ``health()`` exposes.
         self._last_shard_pool_stats: dict = {}
@@ -493,18 +481,12 @@ class EnumerationBroker:
             latency = (loop.time() - t0) * 1e3
             self.metrics.cache_hit_latency_ms.record(latency)
             fut = loop.create_future()
-            if isinstance(cached, StoredResultSet):
-                store, inline = cached, self._inline(cached)
-            else:
-                # Legacy tuple entries (direct cache.put by tests/tools).
-                store, inline = None, cached
             fut.set_result(
                 JobResult(
                     job_id=job.id,
                     status=JobStatus.COMPLETED,
                     algorithm=job.algorithm,
-                    bicliques=inline,
-                    store=store,
+                    store=cached,
                     cache_hit=True,
                     latency_ms=latency,
                 )
@@ -758,11 +740,9 @@ class EnumerationBroker:
                 )
         self.metrics.retries += outcome.retries
         if outcome.status == "completed":
-            bicliques = tuple(outcome.value)
-            # Cache the compressed store, not the tuple: the byte budget
-            # charges encoded size, and later hits can page without ever
-            # re-materializing the full list.
-            store = StoredResultSet.from_bicliques(bicliques)
+            # The store is both the result and the cache entry: the byte
+            # budget charges encoded size, and hits hand it out undecoded.
+            store = StoredResultSet.from_bicliques(outcome.value)
             self.cache.put(entry.key, store, tag=entry.tag)
             self.metrics.completed += 1
             latency = (loop.time() - entry.submitted_at) * 1e3
@@ -773,7 +753,6 @@ class EnumerationBroker:
                 job_id=entry.job.id,
                 status=JobStatus.COMPLETED,
                 algorithm=entry.job.algorithm,
-                bicliques=bicliques if self._inline_ok(len(bicliques)) else (),
                 store=store,
                 attempts=outcome.attempts,
                 latency_ms=latency,
@@ -799,17 +778,15 @@ class EnumerationBroker:
             latency = (loop.time() - entry.submitted_at) * 1e3
             self.metrics.latency_ms.record(latency)
             job = entry.job
-            bicliques = tuple(
-                b for b in partial.bicliques
-                if len(b.left) >= job.min_left
-                and len(b.right) >= job.min_right
-            )
             result = JobResult(
                 job_id=job.id,
                 status=JobStatus.DEGRADED,
                 algorithm=job.algorithm,
-                bicliques=bicliques if self._inline_ok(len(bicliques)) else (),
-                store=StoredResultSet.from_bicliques(bicliques),
+                store=StoredResultSet.from_bicliques(
+                    b for b in partial.bicliques
+                    if len(b.left) >= job.min_left
+                    and len(b.right) >= job.min_right
+                ),
                 error=str(outcome.exception),
                 attempts=outcome.attempts,
                 latency_ms=latency,
@@ -837,13 +814,6 @@ class EnumerationBroker:
                 entry, status, error=outcome.error, attempts=outcome.attempts
             )
         self._finish(entry, result)
-
-    def _inline_ok(self, n: int) -> bool:
-        return self.inline_results is None or n <= self.inline_results
-
-    def _inline(self, store: StoredResultSet) -> tuple:
-        """Materialize a cached store for the inline field, if allowed."""
-        return store.as_tuple() if self._inline_ok(len(store)) else ()
 
     def _result(
         self, entry: _Entry, status: str, *, error: str | None = None,

@@ -17,21 +17,18 @@ before the fingerprint change makes the old entries unreachable.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from ..api import as_bipartite_graph
 from ..gmbe import GMBEConfig
 from ..graph import BipartiteGraph
+from ..store import StoredResultSet
 
 __all__ = ["CacheStats", "ResultCache", "graph_fingerprint"]
 
-# Rough per-object overheads for the byte budget: a Biclique holds two
-# int tuples (~8 bytes/element + tuple headers); entries carry key +
-# bookkeeping.  Estimates, not exact sizes — the budget is a lever, not
-# an audit.
-_BYTES_PER_VERTEX = 8
-_BYTES_PER_BICLIQUE = 96
+# Fixed per-entry charge (key + bookkeeping) on top of the store's
+# encoded payload.  An estimate — the budget is a lever, not an audit.
 _BYTES_PER_ENTRY = 160
 
 
@@ -39,26 +36,6 @@ def graph_fingerprint(data) -> str:
     """Content hash identifying a graph for cache keying."""
     graph = data if isinstance(data, BipartiteGraph) else as_bipartite_graph(data)
     return graph.fingerprint
-
-
-def _entry_nbytes(value) -> int:
-    """Budget charge for a cached value.
-
-    A :class:`~repro.store.StoredResultSet` (anything exposing
-    ``nbytes``) is charged its *encoded* payload size — the whole point
-    of caching stores instead of tuples — while plain biclique tuples
-    keep the modeled per-object estimate.
-    """
-    nbytes = getattr(value, "nbytes", None)
-    if nbytes is not None:
-        return _BYTES_PER_ENTRY + int(nbytes)
-    total = _BYTES_PER_ENTRY
-    for b in value:
-        total += _BYTES_PER_BICLIQUE
-        left = getattr(b, "left", b)
-        right = getattr(b, "right", ())
-        total += _BYTES_PER_VERTEX * (len(left) + len(right))
-    return total
 
 
 @dataclass
@@ -83,7 +60,7 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    bicliques: object  # tuple[Biclique, ...] or StoredResultSet
+    store: StoredResultSet
     nbytes: int
     tag: Hashable | None
 
@@ -122,33 +99,37 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Core LRU operations
     # ------------------------------------------------------------------
-    def get(self, key: tuple):
-        """Cached result (tuple or :class:`StoredResultSet`), or
-        ``None``; a hit refreshes recency."""
+    def get(self, key: tuple) -> StoredResultSet | None:
+        """Cached store, or ``None``; a hit refreshes recency."""
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry.bicliques
+        return entry.store
 
-    def put(self, key: tuple, bicliques, tag: Hashable | None = None) -> bool:
+    def put(
+        self, key: tuple, store: StoredResultSet, tag: Hashable | None = None
+    ) -> bool:
         """Insert (or refresh) an entry; returns False if it can't fit.
 
-        Accepts a biclique iterable (stored as a tuple, charged by the
-        per-object model) or a :class:`~repro.store.StoredResultSet`
-        (stored as-is, charged its encoded ``nbytes``).
+        The entry is charged its encoded ``store.nbytes`` plus a fixed
+        per-entry overhead.
         """
-        if not hasattr(bicliques, "nbytes"):
-            bicliques = tuple(bicliques)
-        nbytes = _entry_nbytes(bicliques)
+        encoded = getattr(store, "nbytes", None)
+        if encoded is None:
+            raise TypeError(
+                f"ResultCache holds StoredResultSet values, "
+                f"got {type(store).__name__}"
+            )
+        nbytes = _BYTES_PER_ENTRY + int(encoded)
         if nbytes > self.max_bytes:
             return False  # would evict everything and still not fit
         old = self._entries.pop(key, None)
         if old is not None:
             self._current_bytes -= old.nbytes
-        self._entries[key] = _Entry(bicliques, nbytes, tag)
+        self._entries[key] = _Entry(store, nbytes, tag)
         self._current_bytes += nbytes
         self.stats.puts += 1
         while self._current_bytes > self.max_bytes:

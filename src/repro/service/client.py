@@ -107,9 +107,9 @@ class ServiceClient:
     ):
         """``(items, next_cursor)`` — page through a job's bicliques.
 
-        Works on any terminal :class:`JobResult`: results backed by a
-        compressed store decode one page at a time; inline results slice
-        the tuple with identical cursor semantics.  Pass the returned
+        Works on any terminal :class:`JobResult`: each call decodes one
+        page from the result's compressed store (results without
+        bicliques page as ``([], None)``).  Pass the returned
         ``next_cursor`` back in to continue; ``None`` means done.
         """
         return result.fetch_page(cursor, limit)

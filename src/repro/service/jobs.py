@@ -4,9 +4,10 @@ A :class:`Job` is one enumeration query: a graph (given directly, or by
 the name of a graph registered with the broker), an algorithm, size
 filters, optional per-job :class:`~repro.gmbe.GMBEConfig` overrides, a
 priority, and an optional deadline.  A :class:`JobResult` is everything
-the service knows about how the query went: the bicliques, of course,
-but also whether they came from cache, how many execution attempts were
-needed, and the end-to-end latency.
+the service knows about how the query went: the bicliques (as a
+compressed, pageable store), of course, but also whether they came from
+cache, how many execution attempts were needed, and the end-to-end
+latency.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Any, Mapping
 
 from ..api import validate_size_filters
 from ..gmbe import GMBEConfig
+from ..store import StoredResultSet
 
 __all__ = ["Job", "JobResult", "JobStatus", "SERVICE_ALGORITHMS"]
 
@@ -29,6 +31,9 @@ SERVICE_ALGORITHMS = (
     "oombea",
     "parmbe",
 )
+
+#: The one store behind every result that carries no bicliques.
+_EMPTY_STORE = StoredResultSet((), 0)
 
 
 class JobStatus:
@@ -164,17 +169,18 @@ class Job:
 class JobResult:
     """Terminal outcome of one job.
 
-    Results travel two ways: ``bicliques`` is the inline materialized
-    tuple (kept for API compatibility and small result sets), ``store``
-    is the compressed :class:`~repro.store.StoredResultSet` the broker
-    builds when configured with ``inline_results`` — page through it
-    with :meth:`fetch_page` instead of holding the whole list.
+    The bicliques live in ``store``, a compressed
+    :class:`~repro.store.StoredResultSet` in canonical sorted order —
+    the same object the result cache holds, so a cache hit hands it out
+    without decoding anything.  Page through it with :meth:`fetch_page`;
+    ``bicliques`` materializes the whole set on each access.  Results
+    without bicliques (failed, timed out, cancelled, rejected, expired)
+    share one empty store, so ``store`` is never ``None``.
     """
 
     job_id: int
     status: str
     algorithm: str
-    bicliques: tuple = ()
     error: str | None = None
     attempts: int = 0
     cache_hit: bool = False
@@ -184,9 +190,10 @@ class JobResult:
     #: empty for every other status, including plain ``completed``).
     completed_shards: tuple = ()
     quarantined_shards: tuple = ()
-    #: Compressed result store, when the broker built one; compared by
-    #: content nowhere — identity only — so it stays out of equality.
-    store: Any = field(default=None, repr=False, compare=False)
+    #: Stores have no content equality, so this stays out of ``==``.
+    store: StoredResultSet = field(
+        default=_EMPTY_STORE, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -198,39 +205,22 @@ class JobResult:
         return self.status == JobStatus.DEGRADED
 
     @property
+    def bicliques(self) -> tuple:
+        """Every biclique, decoded from ``store`` on each access."""
+        return self.store.as_tuple()
+
+    @property
     def count(self) -> int:
-        if not self.bicliques and self.store is not None:
-            return len(self.store)
-        return len(self.bicliques)
+        return len(self.store)
 
     def fetch_page(self, cursor: str | None = None, limit: int = 100):
         """``(items, next_cursor)`` over this result's bicliques.
 
-        Served from the compressed store when present (no full
-        materialization), else from the inline tuple with identical
-        cursor semantics — callers cannot tell which backing they got.
+        Decodes one page of ``store`` (see
+        :meth:`StoredResultSet.page`); pass ``next_cursor`` back in to
+        continue, ``None`` means done.
         """
-        if self.store is not None:
-            return self.store.page(cursor, limit)
-        if limit < 1:
-            raise ValueError(f"limit must be positive, got {limit}")
-        start = 0
-        if cursor:
-            try:
-                start = int(cursor)
-            except ValueError:
-                raise ValueError(
-                    f"invalid cursor {cursor!r}: cursors are opaque tokens "
-                    f"returned by a previous fetch_page() call"
-                ) from None
-            if start < 0:
-                raise ValueError(f"invalid cursor {cursor!r}: negative ordinal")
-        items = list(self.bicliques[start:start + limit])
-        next_cursor = (
-            str(start + limit)
-            if start + limit < len(self.bicliques) else None
-        )
-        return items, next_cursor
+        return self.store.page(cursor, limit)
 
     def describe(self) -> str:
         """One human line, the ``gmbe serve`` per-job output."""

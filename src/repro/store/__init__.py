@@ -18,7 +18,7 @@ that tree.  This package stores results as paths:
   result container the cache and service hand around instead of Python
   lists;
 - :mod:`~repro.store.provenance` — the same path-sharing applied to
-  checkpointed executed-lineage sets (:class:`LineageForest`).
+  checkpointed executed-lineage sets (:func:`pack_lineages`).
 """
 
 from .encode import (
@@ -28,7 +28,7 @@ from .encode import (
     count_records,
     decode_blocks,
 )
-from .provenance import LineageForest, pack_lineages, unpack_lineages
+from .provenance import pack_lineages, unpack_lineages
 from .resultset import (
     ResultStoreWriter,
     StoredResultSet,
@@ -39,7 +39,6 @@ from .treebuf import ROOT, TreeBuffer
 __all__ = [
     "Block",
     "DEFAULT_BLOCK_RECORDS",
-    "LineageForest",
     "PathDeltaEncoder",
     "ROOT",
     "ResultStoreWriter",

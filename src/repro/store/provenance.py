@@ -11,16 +11,11 @@ paths the v2 wire format stores them as LCP-compressed rows:
 previous row.  Sibling tasks share all but their last component, so on
 real enumerations most rows collapse to ``[depth-1, last]``.  The rows
 are plain JSON int lists — no framing needed, the set is read whole.
-
-:class:`LineageForest` is the in-memory dual: a trie over lineage
-components with marked nodes, used where the *set* interface matters
-(membership seeding of the ledger) while sharing prefixes instead of
-storing every path as its own tuple.
 """
 
 from __future__ import annotations
 
-__all__ = ["LineageForest", "pack_lineages", "unpack_lineages"]
+__all__ = ["pack_lineages", "unpack_lineages"]
 
 
 def pack_lineages(lineages) -> list:
@@ -58,64 +53,3 @@ def unpack_lineages(rows) -> list:
         out.append(lin)
         prev = lin
     return out
-
-
-class LineageForest:
-    """A marked trie over lineage tuples — set semantics, shared prefixes.
-
-    ``add`` marks a path, ``in`` tests membership of a *marked* path
-    (interior nodes created only as prefixes do not count), iteration
-    yields the marked lineages in sorted order.
-    """
-
-    __slots__ = ("_root", "_n")
-
-    #: key under which a node stores its "this path is a member" mark;
-    #: impossible as a lineage component (components are ints).
-    _MARK = None
-
-    def __init__(self, lineages=()) -> None:
-        self._root: dict = {}
-        self._n = 0
-        for lin in lineages:
-            self.add(lin)
-
-    def add(self, lineage) -> None:
-        node = self._root
-        for comp in lineage:
-            node = node.setdefault(int(comp), {})
-        if self._MARK not in node:
-            node[self._MARK] = True
-            self._n += 1
-
-    def __contains__(self, lineage) -> bool:
-        node = self._root
-        for comp in lineage:
-            node = node.get(int(comp))
-            if node is None:
-                return False
-        return self._MARK in node
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self):
-        def walk(node, prefix):
-            if self._MARK in node:
-                yield prefix
-            for comp in sorted(k for k in node if k is not self._MARK):
-                yield from walk(node[comp], prefix + (comp,))
-
-        return walk(self._root, ())
-
-    def update(self, lineages) -> None:
-        for lin in lineages:
-            self.add(lin)
-
-    def to_rows(self) -> list:
-        """The :func:`pack_lineages` wire form of this forest."""
-        return pack_lineages(self)
-
-    @classmethod
-    def from_rows(cls, rows) -> "LineageForest":
-        return cls(unpack_lineages(rows))

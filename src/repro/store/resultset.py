@@ -1,8 +1,8 @@
 """``StoredResultSet``: the compressed, cursor-paginated result container.
 
-The service layers built so far pass ``tuple[Biclique, ...]`` around —
-O(output) resident memory per job.  A :class:`StoredResultSet` keeps the
-same logical contents as delta-encoded blocks (see
+A list of :class:`Biclique` objects costs O(output) resident memory.
+A :class:`StoredResultSet` — the service's only result container —
+keeps the same logical contents as delta-encoded blocks (see
 :mod:`repro.store.encode`) and serves them three ways:
 
 - streaming iteration (``for b in store``) — decodes block by block,
@@ -36,9 +36,9 @@ from .encode import (
 
 __all__ = ["ResultStoreWriter", "StoredResultSet", "materialized_nbytes"]
 
-#: The cache's cost model for materialized results (kept in sync with
-#: ``repro.service.cache``): a Biclique object + two tuples + per-vertex
-#: ints.  Used to report the compression the store buys.
+#: Cost model for materialized results: a Biclique object + two tuples
+#: (~96 bytes) + 8 bytes per vertex id.  Used to report the compression
+#: the store buys over the plain-object form.
 _BYTES_PER_VERTEX = 8
 _BYTES_PER_BICLIQUE = 96
 
@@ -46,9 +46,8 @@ _BYTES_PER_BICLIQUE = 96
 def materialized_nbytes(bicliques) -> int:
     """Modeled resident bytes of ``bicliques`` as plain Python objects.
 
-    Same per-object/per-vertex constants as the service cache's budget
-    model, so "encoded vs materialized" ratios line up with what the
-    cache would actually have charged for the tuple form.
+    The "materialized" side of every encoded-vs-materialized ratio the
+    store benchmarks and Fig. 7 report.
     """
     total = 0
     for b in bicliques:

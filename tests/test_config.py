@@ -1,5 +1,6 @@
 """Tests for GMBEConfig validation and updates."""
 
+import numpy as np
 import pytest
 
 from repro.gmbe import DEFAULT_CONFIG, GMBEConfig
@@ -32,6 +33,32 @@ class TestValidation:
             GMBEConfig(scheduling="grid")
         for ok in ("task", "warp", "block"):
             assert GMBEConfig(scheduling=ok).scheduling == ok
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("prune", "x"),
+            ("prune", 1),
+            ("prune", np.bool_(True)),
+            ("node_reuse", "no"),
+            ("node_reuse", None),
+            ("bound_height", 2.5),
+            ("bound_size", "9"),
+            ("warps_per_sm", True),
+            ("max_task_retries", False),
+            ("max_task_retries", None),
+        ],
+    )
+    def test_field_types_rejected_with_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GMBEConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["bound_height", "bound_size", "warps_per_sm", "max_task_retries"]
+    )
+    def test_numpy_ints_accepted(self, field):
+        cfg = GMBEConfig(**{field: np.int64(7)})
+        assert getattr(cfg, field) == 7
 
 
 class TestWith:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import enumerate_maximal_bicliques
+from repro.core.bicliques import Biclique
 from repro.gmbe import GMBEConfig
 from repro.graph import BipartiteGraph, random_bipartite
 from repro.parallel import WorkerPool
@@ -33,6 +34,7 @@ from repro.service import (
     execute_with_retry,
     graph_fingerprint,
 )
+from repro.store import StoredResultSet
 from repro.streaming import DynamicBipartiteGraph
 
 
@@ -120,8 +122,9 @@ class TestResultCache:
         cache = ResultCache()
         key = self._key(paper_graph)
         assert cache.get(key) is None
-        assert cache.put(key, [("sentinel",)])
-        assert cache.get(key) == (("sentinel",),)
+        store = StoredResultSet.from_bicliques([Biclique((0,), (1,))])
+        assert cache.put(key, store)
+        assert cache.get(key) is store
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_key_varies_with_query_identity(self, paper_graph):
@@ -132,15 +135,15 @@ class TestResultCache:
         assert self._key(paper_graph, config=GMBEConfig(prune=False)) != base
 
     def test_byte_budget_evicts_lru(self, paper_graph, tiny_path):
-        # Each empty-biclique entry costs the fixed overhead; budget two.
+        # Each empty-store entry costs the fixed overhead; budget two.
         cache = ResultCache(max_bytes=400)
         k1 = self._key(paper_graph, min_left=1)
         k2 = self._key(paper_graph, min_left=2)
         k3 = self._key(paper_graph, min_left=3)
-        cache.put(k1, [])
-        cache.put(k2, [])
+        cache.put(k1, StoredResultSet.from_bicliques([]))
+        cache.put(k2, StoredResultSet.from_bicliques([]))
         cache.get(k1)  # refresh k1 so k2 is the LRU victim
-        cache.put(k3, [])
+        cache.put(k3, StoredResultSet.from_bicliques([]))
         assert k1 in cache and k3 in cache and k2 not in cache
         assert cache.stats.evictions == 1
         assert cache.current_bytes <= cache.max_bytes
@@ -148,15 +151,15 @@ class TestResultCache:
     def test_oversized_entry_not_stored(self, paper_graph):
         cache = ResultCache(max_bytes=64)
         key = self._key(paper_graph)
-        assert not cache.put(key, [])
+        assert not cache.put(key, StoredResultSet.from_bicliques([]))
         assert len(cache) == 0
 
     def test_invalidate_tag_is_selective(self, paper_graph, tiny_path):
         cache = ResultCache()
         ka = self._key(paper_graph)
         kb = self._key(tiny_path)
-        cache.put(ka, [], tag="a")
-        cache.put(kb, [], tag="b")
+        cache.put(ka, StoredResultSet.from_bicliques([]), tag="a")
+        cache.put(kb, StoredResultSet.from_bicliques([]), tag="b")
         assert cache.invalidate_tag("a") == 1
         assert ka not in cache and kb in cache
         assert cache.stats.invalidations == 1
@@ -166,7 +169,7 @@ class TestResultCache:
         dyn = DynamicBipartiteGraph.from_graph(paper_graph)
         cache.watch(dyn, tag="g")
         key = self._key(dyn.snapshot())
-        cache.put(key, [], tag="g")
+        cache.put(key, StoredResultSet.from_bicliques([]), tag="g")
         # duplicate insert is a no-op mutation: nothing dropped
         assert dyn.has_edge(0, 2)
         assert not dyn.insert_edge(0, 2)
@@ -180,7 +183,9 @@ class TestResultCache:
         dyn = DynamicBipartiteGraph.from_graph(paper_graph)
         cache.watch(dyn, tag="g")
         cache.unwatch_all()
-        cache.put(self._key(paper_graph), [], tag="g")
+        cache.put(
+            self._key(paper_graph), StoredResultSet.from_bicliques([]), tag="g"
+        )
         assert dyn.insert_edge(4, 0)
         assert len(cache) == 1
 
