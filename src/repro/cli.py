@@ -504,11 +504,13 @@ def _cmd_run(args) -> int:
                     flight_dir=getattr(args, "flight_dir", None),
                 ).run()
             if sink is not None:
+                import numpy as np
+
                 for b in res.bicliques:
-                    sink(b.left, b.right)
+                    sink(np.asarray(b.left), np.asarray(b.right))
             if collector is not None:
-                for b in res.bicliques:
-                    collector(b.left, b.right)
+                # merged shard output is already canonical Bicliques
+                collector.bicliques.extend(res.bicliques)
         elif args.algo == "gmbe" and getattr(args, "nodes", 1) > 1:
             from contextlib import nullcontext
 

@@ -194,7 +194,8 @@ class BatchEmissions:
 
     Emission ``e`` is ``left[left_ptr[e]:left_ptr[e+1]]`` (sorted U ids)
     and ``right[right_ptr[e]:right_ptr[e+1]]`` (sorted V ids), both
-    ``int32``.  Emissions are stored in lockstep-round order;
+    ``int32`` prepared-graph ids (``int64`` input labels after
+    :meth:`relabeled`).  Emissions are stored in lockstep-round order;
     ``order[member_ptr[i]:member_ptr[i+1]]`` lists member ``i``'s
     emission ids in that member's own traversal order.  Nothing per
     biclique is materialized until :meth:`pairs` slices it.
@@ -235,6 +236,47 @@ class BatchEmissions:
         left, right = self.left, self.right
         for a, b, c, d in zip(lo, hi, ro, rh):
             yield left[a:b], right[c:d]
+
+    def relabeled(self, prepared) -> "BatchEmissions":
+        """The same emissions in ``prepared``'s input labels.
+
+        Emission for emission this equals
+        :meth:`~repro.graph.preprocess.PreparedGraph.biclique_to_input_labels`
+        (``int64``, sides swapped when ``prepared.swapped``), but costs
+        one fancy-index and one sort per side for the whole batch.  The
+        pointer, ``order`` and ``member_ptr`` arrays are shared.
+        """
+        left = _relabel_segments(self.left, self.left_ptr, prepared.u_original)
+        right = _relabel_segments(
+            self.right, self.right_ptr, prepared.v_original
+        )
+        if prepared.swapped:
+            return BatchEmissions(
+                right, self.right_ptr, left, self.left_ptr,
+                self.order, self.member_ptr,
+            )
+        return BatchEmissions(
+            left, self.left_ptr, right, self.right_ptr,
+            self.order, self.member_ptr,
+        )
+
+
+def _relabel_segments(
+    ids: np.ndarray, ptr: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """``table[ids]`` re-sorted within each ``ptr`` segment (int64).
+
+    Adding ``segment * len(table)`` keeps every label inside its own
+    segment's key range, so one flat sort orders each segment in place.
+    """
+    labels = table[ids]
+    offsets = np.repeat(
+        np.arange(len(ptr) - 1, dtype=np.int64) * len(table), np.diff(ptr)
+    )
+    labels += offsets
+    labels.sort()
+    labels -= offsets
+    return labels
 
 
 def lane_state_bytes(

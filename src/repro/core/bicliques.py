@@ -1,7 +1,8 @@
 """Biclique value types, output sinks, and enumeration counters.
 
 Every enumerator in the library reports maximal bicliques through a
-*sink* — any callable ``sink(L, R)`` receiving sorted numpy arrays.  The
+*sink* — any callable ``sink(L, R)`` receiving strictly increasing
+(sorted, duplicate-free) numpy integer arrays.  The
 provided sinks cover the common needs: counting (the paper only counts —
 its Table 1 reports ``Max. bicliques``), collecting for tests, and
 streaming to a file.  Enumerators also fill a shared :class:`Counters`
@@ -12,7 +13,7 @@ the simulator's cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, TextIO
+from typing import Iterable, NamedTuple, Protocol, TextIO
 
 import numpy as np
 
@@ -28,17 +29,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Biclique:
-    """A biclique ``(L ⊆ U, R ⊆ V)`` with hashable sorted tuples."""
+def _canonical(side: Iterable[int]) -> tuple[int, ...]:
+    """Sorted, duplicate-free tuple of Python ints."""
+    if isinstance(side, np.ndarray):
+        return tuple(sorted(set(side.tolist())))
+    return tuple(sorted({int(x) for x in side}))
+
+
+class Biclique(NamedTuple):
+    """A biclique ``(L ⊆ U, R ⊆ V)`` with hashable sorted tuples.
+
+    A named tuple, so ordering (by ``left``, then ``right``), equality
+    and hashing are the tuple's own and run in C — sorting, merging and
+    set membership never call back into Python.
+    """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
 
     @staticmethod
     def make(left: Iterable[int], right: Iterable[int]) -> "Biclique":
-        return Biclique(tuple(sorted({int(x) for x in left})),
-                        tuple(sorted({int(x) for x in right})))
+        return Biclique(_canonical(left), _canonical(right))
 
     @property
     def n_vertices(self) -> int:
@@ -50,7 +61,8 @@ class Biclique:
 
 
 class BicliqueSink(Protocol):
-    """Anything accepting ``sink(L, R)`` with sorted numpy arrays."""
+    """Anything accepting ``sink(L, R)`` with strictly increasing numpy
+    integer arrays (:class:`BicliqueCollector` relies on this)."""
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> None: ...
 
@@ -72,13 +84,19 @@ class BicliqueCounter:
 
 
 class BicliqueCollector:
-    """Sink that materializes every maximal biclique (tests, small runs)."""
+    """Sink that materializes every maximal biclique (tests, small runs).
+
+    Relies on the sink contract — strictly increasing arrays — and
+    skips :meth:`Biclique.make`'s dedupe and sort.
+    """
 
     def __init__(self) -> None:
         self.bicliques: list[Biclique] = []
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> None:
-        self.bicliques.append(Biclique.make(left, right))
+        self.bicliques.append(
+            Biclique(tuple(left.tolist()), tuple(right.tolist()))
+        )
 
     @property
     def count(self) -> int:

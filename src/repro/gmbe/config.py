@@ -123,8 +123,22 @@ class GMBEConfig:
             raise ValueError("batch_tasks int must be positive")
 
     def with_(self, **changes) -> "GMBEConfig":
-        """Functional update, e.g. ``cfg.with_(prune=False)``."""
+        """Functional update, e.g. ``cfg.with_(prune=False)``.
+
+        Unknown field names raise :class:`ValueError` naming them.
+        """
+        self._reject_unknown(changes)
         return replace(self, **changes)
+
+    @classmethod
+    def _reject_unknown(cls, keys) -> None:
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(keys) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown GMBEConfig key(s) {', '.join(map(repr, unknown))}; "
+                f"valid keys: {', '.join(sorted(known))}"
+            )
 
     def signature(self) -> tuple[tuple[str, object], ...]:
         """Stable, hashable field snapshot in field-name order.
@@ -158,13 +172,7 @@ class GMBEConfig:
             raise ValueError(
                 f"GMBEConfig JSON must be an object, got {type(data).__name__}"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown GMBEConfig key(s) {', '.join(map(repr, unknown))}; "
-                f"valid keys: {', '.join(sorted(known))}"
-            )
+        cls._reject_unknown(data)
         return cls(**data)
 
     @classmethod

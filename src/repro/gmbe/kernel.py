@@ -429,6 +429,10 @@ def gmbe_gpu(
     #: (dedup is per task via ``mark_executed``) — emit straight to the
     #: sink so zero-fault robust runs pay nothing per biclique
     keep_records = ledger is not None and ledger.records is not None
+    #: without records, batched emissions bypass ``emit``: a batch is
+    #: relabelled once (when a relabelling sink is given) and its pairs
+    #: go straight to ``sink``; retained records stay in prepared labels
+    relabel_batches = sink is not None and relabel and not keep_records
     #: hot-path alias for the per-task dedup set (None when not robust)
     executed_set = ledger.executed if ledger is not None else None
     master = Counters()
@@ -677,6 +681,8 @@ def gmbe_gpu(
             prune=config.prune,
             stats=batch_stats,
         )
+        if relabel_batches:
+            emissions = emissions.relabeled(prepared)
         for i, s in enumerate(runs):
             batch_cache[s.task.lineage] = _BatchedOutcome(
                 s.base + duration(s.counters), s.counters, emissions, i, s.own
@@ -696,11 +702,8 @@ def gmbe_gpu(
         else:
             suppress = False
         if not suppress:
-            pairs = (
-                out.emissions.pairs(out.member)
-                if out.emissions is not None
-                else ()
-            )
+            em = out.emissions
+            pairs = em.pairs(out.member) if em is not None else ()
             if keep_records:
                 lin = task.lineage
                 if out.own:
@@ -710,8 +713,15 @@ def gmbe_gpu(
             else:
                 if out.own:
                     emit(task.left, task.right)
-                for left, right in pairs:
-                    emit(left, right)
+                if em is not None:
+                    # already in the sink's labels (see _compute_batch)
+                    if sink is not None:
+                        for left, right in pairs:
+                            sink(left, right)
+                    m = out.member
+                    counting.count += int(
+                        em.member_ptr[m + 1] - em.member_ptr[m]
+                    )
         master.merge(out.counters)
         return ExecOutcome(cycles=out.cycles)
 

@@ -12,6 +12,7 @@ latency.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -68,10 +69,12 @@ class Job:
     min_left, min_right:
         Size filters, validated exactly like the one-shot API.
     config:
-        Optional full :class:`GMBEConfig` replacing the broker's base
-        config for this job, or the string ``"tuned"`` to request the
-        broker's per-graph tuned configuration: the broker resolves the
-        sentinel against its :class:`~repro.tuning.TunedConfigStore`
+        Optional full :class:`GMBEConfig` (or a mapping of its fields,
+        converted via :meth:`GMBEConfig.from_dict`) replacing the
+        broker's base config for this job, or the string ``"tuned"`` to
+        request the broker's per-graph tuned configuration: the broker
+        resolves the sentinel against its
+        :class:`~repro.tuning.TunedConfigStore`
         *before* building the cache key, so cache entries and job
         checkpoints are always keyed by the **resolved** config — a
         re-tune changes the key and can never serve stale results.  On
@@ -121,12 +124,31 @@ class Job:
         self.min_left, self.min_right = validate_size_filters(
             self.min_left, self.min_right
         )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if isinstance(self.shards, bool) or not isinstance(self.shards, int):
+        if self.deadline is not None:
+            if (
+                isinstance(self.deadline, bool)
+                or not isinstance(self.deadline, numbers.Real)
+                or not self.deadline > 0
+            ):
+                raise ValueError(
+                    f"deadline must be a positive number of seconds, "
+                    f"got {self.deadline!r}"
+                )
+            self.deadline = float(self.deadline)
+        if isinstance(self.priority, bool) or not isinstance(
+            self.priority, numbers.Integral
+        ):
+            raise ValueError(
+                f"priority must be an integer, got {self.priority!r}"
+            )
+        self.priority = int(self.priority)
+        if isinstance(self.shards, bool) or not isinstance(
+            self.shards, numbers.Integral
+        ):
             raise ValueError(
                 f"shards must be a positive integer, got {self.shards!r}"
             )
+        self.shards = int(self.shards)
         if self.shards < 1:
             raise ValueError(f"shards must be positive, got {self.shards}")
         if self.shards > 1 and self.algorithm != "gmbe":
@@ -134,10 +156,21 @@ class Job:
                 f'shards > 1 is only supported by algorithm="gmbe", '
                 f"not {self.algorithm!r}"
             )
-        if isinstance(self.config, str) and self.config != "tuned":
+        if isinstance(self.config, Mapping):
+            self.config = GMBEConfig.from_dict(dict(self.config))
+        elif not (
+            self.config is None
+            or isinstance(self.config, GMBEConfig)
+            or (isinstance(self.config, str) and self.config == "tuned")
+        ):
             raise ValueError(
-                f"config must be a GMBEConfig or the string 'tuned', "
-                f"got {self.config!r}"
+                "config must be a GMBEConfig, a mapping of GMBEConfig "
+                f"fields, or the string 'tuned', got {self.config!r}"
+            )
+        if not isinstance(self.config_overrides, Mapping):
+            raise ValueError(
+                "config_overrides must be a mapping of GMBEConfig fields, "
+                f"got {self.config_overrides!r}"
             )
         # Fail on bogus overrides at submission, not inside a worker.
         self.resolve_config(GMBEConfig())

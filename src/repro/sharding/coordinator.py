@@ -142,7 +142,9 @@ def iter_merged(results: list[ShardResult]):
         _stream(r) for r in sorted(results, key=lambda r: r.shard_id)
     ]
     prev: tuple[Biclique, int] | None = None
-    for item, shard_id in heapq.merge(*streams, key=lambda t: t[0]):
+    # (biclique, shard_id) pairs compare as tuples, in C; streams are in
+    # shard order, so ties break exactly as a stable merge would
+    for item, shard_id in heapq.merge(*streams):
         if prev is not None and item == prev[0]:
             raise ShardMergeError(
                 f"duplicate biclique L={item.left} R={item.right} emitted "

@@ -417,6 +417,96 @@ class TestDeliveryAndAdmission:
         assert vars(r_on.counters) == vars(r_off.counters)
         assert r_on.sim_time == r_off.sim_time
 
+    @staticmethod
+    def _swapped_graph() -> BipartiteGraph:
+        """``n_u < n_v`` and a non-identity degree order, so batch
+        relabelling both permutes and swaps sides."""
+        g = make_mixed_width(200, 12, seed=1).swapped()
+        p = prepare(g)
+        assert p.swapped
+        assert (p.v_original != np.arange(len(p.v_original))).any()
+        return g
+
+    def test_relabeled_matches_per_emission_relabel(self):
+        g_in = self._swapped_graph()
+        prepared = prepare(g_in)
+        counter, tasks = _bitset_root_tasks(prepared.graph)
+        em = run_batch([
+            BatchMember(
+                universe=t.universe, left=t.left, right=t.right,
+                cands=t.cands, counts=t.counts, counters=Counters(),
+            )
+            for t in tasks
+        ])
+        bulk = em.relabeled(prepared)
+        assert bulk.order is em.order and bulk.member_ptr is em.member_ptr
+        n = 0
+        for i in range(len(tasks)):
+            for (L, R), (bl, br) in zip(em.pairs(i), bulk.pairs(i)):
+                el, er = prepared.biclique_to_input_labels(L, R)
+                assert bl.dtype == el.dtype == np.int64
+                assert bl.tolist() == el.tolist()
+                assert br.tolist() == er.tolist()
+                n += 1
+        assert n == len(em) > 1
+
+    def test_swapped_graph_bulk_delivery_identical(self):
+        """The once-per-batch relabel delivers what the per-emission
+        relabel delivered: same arrays, dtypes and order."""
+        g = self._swapped_graph()
+
+        def run(batch_tasks):
+            out = []
+
+            def sink(L, R):
+                out.append((L.dtype, R.dtype, tuple(L), tuple(R)))
+
+            config = GMBEConfig(batch_tasks=batch_tasks, set_backend="bitset")
+            return gmbe_gpu(g, sink, config=config, relabel=True), out
+
+        r_off, e_off = run("off")
+        r_on, e_on = run("auto")
+        assert e_on == e_off and e_off
+        assert r_on.n_maximal == r_off.n_maximal == len(e_off)
+        assert vars(r_on.counters) == vars(r_off.counters)
+        assert r_on.sim_time == r_off.sim_time
+
+    def test_swapped_graph_robust_runs_match_plain(self, tmp_path):
+        """A fault-plan run (bulk path, per-task dedup) and a
+        checkpoint-resumed run (per-emission path, prepared-label
+        records) both report the plain set in input labels."""
+        from repro.gpusim.faults import FaultPlan
+
+        g = self._swapped_graph()
+        cfg = GMBEConfig(
+            batch_tasks="auto", set_backend="bitset", max_task_retries=50
+        )
+        r_plain, plain = _enumerate(g, config=cfg)
+
+        r_fault, faulted = _enumerate(
+            g, config=cfg,
+            fault_plan=FaultPlan(
+                3, p_sm_crash=0.05, p_warp_hang=0.05, max_faults=16
+            ),
+        )
+        assert len(r_fault.extras["fault_log"]) > 0
+        assert r_fault.extras["tasks_lost"] == 0
+        assert faulted == plain
+        assert r_fault.n_maximal == r_plain.n_maximal
+
+        ckpt = tmp_path / "bulk.ckpt"
+        r1, first = _enumerate(
+            g, config=cfg, checkpoint_path=str(ckpt),
+            checkpoint_every=4, halt_after_tasks=6,
+        )
+        assert r1.extras.get("halted") and ckpt.exists()
+        r2, resumed = _enumerate(
+            g, config=cfg, checkpoint_path=str(ckpt), resume=True
+        )
+        assert r2.extras["resumed"] is True
+        assert resumed == plain
+        assert r2.n_maximal == r_plain.n_maximal
+
     def test_admission_respects_byte_budget(self, monkeypatch):
         budget = 4096
         seen = []

@@ -52,6 +52,24 @@ class TestCommands:
         assert rc == 0
         assert len(opath.read_text().strip().splitlines()) == 6
 
+    def test_sharded_run_writes_and_pages_like_plain(self, tmp_path, capsys):
+        plain, sharded = tmp_path / "plain.txt", tmp_path / "sharded.txt"
+        assert main(["run", "Mti", "--output", str(plain)]) == 0
+        assert main(["run", "Mti", "--shards", "2",
+                     "--output", str(sharded)]) == 0
+        lines = plain.read_text().splitlines()
+        assert lines and sorted(sharded.read_text().splitlines()) == sorted(
+            lines
+        )
+        capsys.readouterr()
+        assert main(["run", "Mti", "--page-limit", "3"]) == 0
+        page_plain = capsys.readouterr().out
+        assert main(["run", "Mti", "--shards", "2", "--page-limit", "3"]) == 0
+        page_sharded = capsys.readouterr().out
+        page = page_plain.split("--- page", 1)[1]
+        assert page.count(" | ") == 3
+        assert page_sharded.split("--- page", 1)[1] == page
+
     def test_run_variants(self, tmp_path, paper_graph, capsys):
         gpath = tmp_path / "g.tsv"
         write_edge_list(paper_graph, gpath)

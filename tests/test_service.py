@@ -217,8 +217,68 @@ class TestJobValidation:
     def test_bad_config_override_fails_at_construction(self):
         with pytest.raises(ValueError):
             Job(graph=MATRIX, config_overrides={"scheduling": "psychic"})
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="no_such_knob"):
             Job(graph=MATRIX, config_overrides={"no_such_knob": 1})
+
+    @pytest.mark.parametrize(
+        "kwargs, names",
+        [
+            pytest.param({"priority": "high"}, ("priority", "'high'"),
+                         id="priority-str"),
+            pytest.param({"priority": True}, ("priority", "True"),
+                         id="priority-bool"),
+            pytest.param({"priority": 1.5}, ("priority", "1.5"),
+                         id="priority-float"),
+            pytest.param({"deadline": "5"}, ("deadline", "'5'"),
+                         id="deadline-str"),
+            pytest.param({"deadline": -1.0}, ("deadline", "-1.0"),
+                         id="deadline-negative"),
+            pytest.param({"deadline": float("nan")}, ("deadline", "nan"),
+                         id="deadline-nan"),
+            pytest.param({"config": 3}, ("config", "3"), id="config-int"),
+            pytest.param({"config": "fast"}, ("config", "'fast'"),
+                         id="config-str"),
+            pytest.param({"config": {"prune": "no"}}, ("prune", "'no'"),
+                         id="config-mapping-bad-value"),
+            pytest.param({"config": {"nope": 1}}, ("'nope'",),
+                         id="config-mapping-unknown-key"),
+            pytest.param({"config_overrides": 5}, ("config_overrides", "5"),
+                         id="overrides-int"),
+            pytest.param({"config_overrides": {"nope": 1}}, ("'nope'",),
+                         id="overrides-unknown-key"),
+            pytest.param({"config_overrides": {"bound_size": "9"}},
+                         ("bound_size", "'9'"), id="overrides-bad-value"),
+            pytest.param({"shards": 2.0}, ("shards", "2.0"),
+                         id="shards-float"),
+            pytest.param({"shards": np.int64(0)}, ("shards", "0"),
+                         id="shards-numpy-zero"),
+        ],
+    )
+    def test_bad_fields_raise_value_error_naming_them(self, kwargs, names):
+        with pytest.raises(ValueError) as info:
+            Job(graph=MATRIX, **kwargs)
+        for name in names:
+            assert name in str(info.value)
+
+    @pytest.mark.parametrize(
+        "kwargs, check",
+        [
+            ({"shards": np.int64(2)}, lambda j: j.shards == 2),
+            ({"priority": np.int32(-3)}, lambda j: j.priority == -3),
+            ({"deadline": 5}, lambda j: j.deadline == 5.0),
+            (
+                {"config": {"prune": False}},
+                lambda j: j.config == GMBEConfig(prune=False),
+            ),
+            ({"config": "tuned"}, lambda j: j.wants_tuned),
+        ],
+        ids=["numpy-shards", "numpy-priority", "int-deadline",
+             "config-mapping", "tuned"],
+    )
+    def test_boundary_values_accepted(self, kwargs, check):
+        job = Job(graph=MATRIX, **kwargs)
+        assert check(job)
+        assert isinstance(job.resolve_config(GMBEConfig()), GMBEConfig)
 
     def test_resolve_config_layers_overrides(self):
         job = Job(graph=MATRIX, config_overrides={"prune": False})
