@@ -32,7 +32,7 @@ def test_ablation_node_reuse_compute_cost(benchmark):
         peak_words = 0
         n_tasks = 0
         for v_s in range(prepared.n_v):
-            task = build_root_task(prepared, counter, v_s)
+            task = build_root_task(prepared, v_s)
             if task is None:
                 continue
             n_tasks += 1

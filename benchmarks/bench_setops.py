@@ -134,7 +134,7 @@ def run_batch_case(code: str, scale: float) -> dict:
     counter = LocalCounter(g)
     tasks = []
     for v in range(g.n_v):
-        t = build_root_task(g, counter, v, None, backend="auto")
+        t = build_root_task(g, v, None, backend="auto")
         if t is not None:
             tasks.append(t)
     dense = [t for t in tasks if t.universe is not None and len(t.cands)]

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.bicliques import Biclique
 from ..graph.bipartite import BipartiteGraph
+from ..verify import check_edge_cover
 
 __all__ = ["BicliqueSetStats", "summarize", "participation_counts", "edge_coverage"]
 
@@ -90,9 +91,5 @@ def edge_coverage(
     """
     if graph.n_edges == 0:
         return 1.0
-    covered: set[tuple[int, int]] = set()
-    for b in bicliques:
-        for u in b.left:
-            for v in b.right:
-                covered.add((u, v))
-    return len(covered) / graph.n_edges
+    uncovered = len(check_edge_cover(graph, bicliques))
+    return (graph.n_edges - uncovered) / graph.n_edges

@@ -757,6 +757,43 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _read_job_specs(path: str) -> list[dict]:
+    """Parse a ``--jobs`` JSONL file: one :class:`~repro.service.Job`
+    field mapping per non-blank line.  A bad line exits with one message
+    naming the file, the line number and the offending key or value."""
+    import json
+    from dataclasses import fields
+
+    from .service import Job
+
+    known = {f.name for f in fields(Job) if f.init}
+    specs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                spec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SystemExit(
+                    f"{where}: invalid JSON ({exc.msg}): {line.strip()!r}"
+                ) from None
+            if not isinstance(spec, dict):
+                raise SystemExit(
+                    f"{where}: expected a JSON object of job fields, "
+                    f"got {line.strip()!r}"
+                )
+            unknown = sorted(set(spec) - known)
+            if unknown:
+                raise SystemExit(
+                    f"{where}: unknown job key {unknown[0]!r}; "
+                    f"expected keys from {sorted(known)}"
+                )
+            specs.append(spec)
+    return specs
+
+
 def _cmd_serve(args) -> int:
     import json
 
@@ -764,8 +801,7 @@ def _cmd_serve(args) -> int:
 
     batch = bool(args.jobs)
     if batch:
-        with open(args.jobs, "r", encoding="utf-8") as fh:
-            specs = [json.loads(line) for line in fh if line.strip()]
+        specs = _read_job_specs(args.jobs)
     else:
         # Demo session: the README's multi-query walkthrough — a cold
         # query, its cache-hit repeat, and a size-filtered variant.

@@ -10,7 +10,7 @@ dominates node expansion collapses to one 2-D ``AND`` + ``popcount``
 over a row matrix.
 
 Scoping matters.  A :class:`BitsetUniverse` is built once per root task
-at :func:`repro.core.tasks.build_root_task` time: its bit positions are
+by :func:`repro.core.tasks.build_root_tasks`: its bit positions are
 the task's ``L_r`` relabeled to the dense range ``[0, |L_r|)``, and it
 stores one packed row ``N(v) ∩ L_r`` for every V vertex *in scope* —
 every ``v`` with at least one neighbor in ``L_r``, plus ``v_s`` itself.

@@ -80,7 +80,7 @@ def parmbe(
     def run_task(v_s: int) -> tuple[Counters, int]:
         counter = get_counter()
         task_counters = Counters()
-        task = build_root_task(g, counter, v_s, task_counters)
+        task = build_root_task(g, v_s, task_counters)
         if task is None:
             return task_counters, task_counters.set_op_work
         emitted: list[tuple[np.ndarray, np.ndarray]] = [(task.left, task.right)]

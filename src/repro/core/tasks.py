@@ -6,6 +6,16 @@ candidates drawn from the *later-ordered* 2-hop neighborhood.  A task is
 dropped when ``v_s`` is not the smallest vertex of its ``R`` — the
 cross-task deduplication rule — so each maximal biclique belongs to
 exactly one task.
+
+Root tasks are built in bulk, a chunk of roots at a time
+(:func:`build_root_tasks`): every ``(v_s, u, w)`` 2-hop triple of the
+chunk is gathered from the CSR and the packed ``v_s * n_v + w`` keys are
+sorted once — the per-vertex 2-hop clustering Mukherjee & Tirthapura run
+as one MapReduce round (arXiv 1404.4910).  Each root's 2-hop set, local
+neighborhood sizes, dedup test, modeled charges and packed bitset rows
+are all read off that one pass.  :func:`root_chunks` sizes the chunks by
+a fixed byte budget on their 2-hop volume and root count, so hub blocks
+and long runs of trivial roots both stay bounded.
 """
 
 from __future__ import annotations
@@ -16,10 +26,30 @@ import numpy as np
 
 from ..graph.bipartite import BipartiteGraph
 from .bicliques import Counters
-from .bitset import BitsetUniverse, resolve_backend
-from .localcount import LocalCounter, ragged_gather
+from .bitset import BitsetUniverse, n_words, resolve_backend
+from .localcount import ragged_gather
 
-__all__ = ["RootTask", "build_root_task"]
+__all__ = [
+    "ROOT_CHUNK_BYTES",
+    "RootTask",
+    "build_root_task",
+    "build_root_tasks",
+    "root_chunks",
+]
+
+#: Byte budget of one bulk build: a chunk takes roots until their
+#: estimated bytes (below) would pass it; the first root of a chunk is
+#: always taken, however large.  The kernel holds a whole chunk of
+#: built roots in its look-ahead, so the budget bounds that too.
+ROOT_CHUNK_BYTES = 1 << 18
+
+#: Bytes per 2-hop triple: the int64 key, its sort order, sorted copy
+#: and bit position, plus the gathered int32 vertex.
+_TRIPLE_BYTES = 36
+
+#: Bytes per built root held until the scheduler pulls it: the task,
+#: its counters and array headers.
+_ROOT_BYTES = 512
 
 
 @dataclass
@@ -52,17 +82,61 @@ class RootTask:
         return self.estimated_height() * len(self.cands)
 
 
-def build_root_task(
-    graph: BipartiteGraph,
-    counter: LocalCounter,
-    v_s: int,
-    counters: Counters | None = None,
-    *,
-    backend: str = "sorted",
-) -> RootTask | None:
-    """Build the root task for ``v_s``; ``None`` if empty or deduplicated.
+def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Integer sums of ``values[ptr[i]:ptr[i+1]]`` for every segment."""
+    csum = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=csum[1:])
+    return csum[ptr[1:]] - csum[ptr[:-1]]
 
-    The returned task's ``right`` is the closure ``Γ(N(v_s))`` restricted
+
+def _ceil32(lengths: np.ndarray) -> np.ndarray:
+    """Warp steps of each ragged row (``ceil(l / 32)``)."""
+    return (lengths + 31) // 32
+
+
+def root_chunks(
+    graph: BipartiteGraph, start: int = 0, mask: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Split the roots ``>= start`` into bulk-build chunks, in order.
+
+    Only ``mask``-owned vertices are included when a mask is given.
+    Every chunk is non-empty and, unless it is a single root, estimated
+    at no more than :data:`ROOT_CHUNK_BYTES`: ``_ROOT_BYTES`` per root
+    plus ``_TRIPLE_BYTES`` per 2-hop triple.
+    """
+    if mask is None:
+        roots = np.arange(start, graph.n_v, dtype=np.int64)
+    else:
+        roots = start + np.flatnonzero(mask[start:]).astype(np.int64)
+    if len(roots) == 0:
+        return []
+    # 2-hop volume of v: sum of |N(u)| over u in N(v).
+    volume = _segment_sums(
+        graph.degrees_u[graph.v_indices], graph.v_indptr
+    )[roots]
+    size = volume * _TRIPLE_BYTES + _ROOT_BYTES
+    end = np.cumsum(size)
+    cuts = []
+    i = 0
+    while i < len(roots):
+        limit = end[i] - size[i] + ROOT_CHUNK_BYTES
+        i = max(i + 1, int(np.searchsorted(end, limit, side="right")))
+        cuts.append(i)
+    return np.split(roots, cuts[:-1])
+
+
+def build_root_tasks(
+    graph: BipartiteGraph, roots, *, backend: str = "sorted"
+) -> list[tuple[RootTask | None, Counters]]:
+    """Build the root tasks of ``roots`` from one sorted 2-hop pass.
+
+    Returns one ``(task, counters)`` pair per root, in order: ``task``
+    is ``None`` when the root has no neighbor or is deduplicated, and
+    ``counters`` holds that root's modeled build charges (zero for a
+    root with no neighbor; a deduplicated root still pays for the
+    passes that found it redundant).
+
+    A surviving task's ``right`` is the closure ``Γ(N(v_s))`` restricted
     per Alg. 3: every 2-hop neighbor fully connected to ``L_s`` joins
     ``R_s`` regardless of order, so ``R_s == Γ(L_s)`` by construction and
     the survival test is simply ``min(R_s) == v_s``.
@@ -74,62 +148,162 @@ def build_root_task(
     plus ``v_s`` itself — closed under all maximality checks the subtree
     can perform, since ``Γ(L') ⊆ scope`` for any nonempty ``L' ⊆ L_s``.
     """
-    left = graph.neighbors_v(v_s)
-    if len(left) == 0:
-        return None
-    # N2(v_s): V-vertices sharing a U-neighbor with v_s.
-    flat, hop_lengths = ragged_gather(
-        graph.u_indptr, graph.u_indices, left.astype(np.int64)
+    g = graph
+    roots = np.asarray(roots, dtype=np.int64)
+    k = len(roots)
+    # First hop: L_s of every root.
+    n_left = g.degrees_v[roots]
+    left_ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(n_left, out=left_ptr[1:])
+    lefts, _ = ragged_gather(g.v_indptr, g.v_indices, roots)
+    left_owner = np.repeat(np.arange(k, dtype=np.int64), n_left)
+    # Second hop: one (v_s, u, w) triple per w in N(u), u in L_s.
+    hop = g.degrees_u[lefts]
+    ws, _ = ragged_gather(g.u_indptr, g.u_indices, lefts.astype(np.int64))
+    keys = np.repeat(left_owner * g.n_v, hop)
+    keys += ws
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    key_start = np.flatnonzero(first)
+    uniq = sorted_keys[key_start]
+    # |N(w) ∩ L_s| is the multiplicity of the key (v_s, w).
+    key_count = np.diff(np.append(key_start, len(sorted_keys)))
+    key_owner = uniq // g.n_v
+    key_w = uniq - key_owner * g.n_v
+    key_ptr = np.searchsorted(key_owner, np.arange(k + 1, dtype=np.int64))
+    owner_v = roots[key_owner]
+    full = key_count == n_left[key_owner]
+    later = key_w > owner_v
+    dropped = np.bincount(key_owner[full & (key_w < owner_v)], minlength=k) > 0
+
+    # Modeled charges, the same totals the per-root passes record: the
+    # ragged first hop, stamping L_s, and the ragged count over N2(v_s).
+    hop_work = _segment_sums(hop, left_ptr)
+    hop_steps = _segment_sums(_ceil32(hop), left_ptr)
+    w_deg = g.degrees_v[key_w]
+    two_hop_work = _segment_sums(w_deg, key_ptr) - n_left
+    two_hop_steps = _segment_sums(_ceil32(w_deg), key_ptr) - _ceil32(n_left)
+    set_op_work = hop_work + n_left + two_hop_work
+    simt_cycles = hop_steps + _ceil32(n_left) + 2 + two_hop_steps
+    # the count pass is skipped (uncharged) when N2(v_s) is empty
+    simt_cycles += (key_ptr[1:] - key_ptr[:-1]) > 1
+
+    cand_keys = np.flatnonzero(later & ~full)
+    cand_ptr = np.searchsorted(key_owner[cand_keys], np.arange(k + 1))
+    absorbed = np.flatnonzero(later & full)
+    absorbed_ptr = np.searchsorted(key_owner[absorbed], np.arange(k + 1))
+    cands_all = key_w[cand_keys].astype(np.int32)
+    counts_all = key_count[cand_keys]
+    right_all = key_w[absorbed].astype(np.int32)
+
+    out: list[tuple[RootTask | None, Counters]] = []
+    bitset_roots: list[int] = []
+    left_start = g.v_indptr[roots].tolist()
+    n_keys = (key_ptr[1:] - key_ptr[:-1]).tolist()
+    per_root = zip(
+        roots.tolist(), n_left.tolist(), dropped.tolist(), n_keys,
+        set_op_work.tolist(), simt_cycles.tolist(), two_hop_work.tolist(),
+        hop_work.tolist(), left_start,
+        cand_ptr.tolist(), cand_ptr[1:].tolist(),
+        absorbed_ptr.tolist(), absorbed_ptr[1:].tolist(),
     )
-    work = int(len(flat))
-    two_hop = np.unique(flat)
-    two_hop = two_hop[two_hop != v_s]
-    counter.set_left(left)
-    if counters is not None:
-        counters.charge_ragged(hop_lengths)
-        counters.charge(len(left), 0)  # stamping L_s
-    counts, gathered = counter.counts(two_hop, counters)
-    work += gathered + len(left)
-    full = counts == len(left)
-    absorbed = two_hop[full]
-    if len(absorbed) and int(absorbed[0]) < v_s:
-        return None  # a smaller vertex owns this biclique's task
-    right = np.concatenate(
-        [absorbed[absorbed < v_s], [np.int32(v_s)], absorbed[absorbed >= v_s]]
-    ).astype(np.int32)
-    later_partial = (counts > 0) & ~full & (two_hop > v_s)
-    cands = two_hop[later_partial].astype(np.int32)
-    resolved = backend
-    universe = None
-    if backend == "auto" and len(cands) == 0:
-        # No subtree to expand — nothing amortizes a universe build, so
-        # skip even the scope/degree bookkeeping of the heuristic.
-        resolved = "sorted"
-    elif backend != "sorted":
-        partial_scope = two_hop[counts > 0]
-        scope = np.insert(
-            partial_scope, np.searchsorted(partial_scope, v_s), v_s
-        ).astype(np.int32)
-        resolved = resolve_backend(
-            backend,
-            len(left),
-            len(cands),
-            len(scope),
-            int(graph.degrees_v[scope].sum()),
-        )
-        if resolved == "bitset":
-            universe = BitsetUniverse.build(graph, left, scope)
-            if counters is not None:
+    for i, (
+        v_s, nl, drop, n_scope, work, cycles, n2_work, h_work, l_lo,
+        lo, hi, a_lo, a_hi,
+    ) in enumerate(per_root):
+        c = Counters()
+        if nl == 0:
+            out.append((None, c))
+            continue
+        c.set_op_work = work
+        c.simt_cycles = cycles
+        if drop:
+            out.append((None, c))
+            continue
+        resolved = backend
+        if backend == "auto" and lo == hi:
+            # No subtree to expand — nothing amortizes a universe build.
+            resolved = "sorted"
+        elif backend != "sorted":
+            resolved = resolve_backend(
+                backend, nl, hi - lo, n_scope, n2_work + nl
+            )
+            if resolved == "bitset":
                 # Building the packed rows is one word-parallel pass over
                 # the scoped adjacency, amortized across the subtree.
-                counters.charge_bitset(len(scope), universe.n_words)
-    return RootTask(
-        v_s=v_s,
-        left=left,
-        right=right,
-        cands=cands,
-        counts=counts[later_partial],
-        work=work,
-        backend=resolved,
-        universe=universe,
+                c.charge_bitset(n_scope, n_words(nl))
+                bitset_roots.append(i)
+        right = np.empty(1 + a_hi - a_lo, dtype=np.int32)
+        right[0] = v_s
+        right[1:] = right_all[a_lo:a_hi]
+        task = RootTask(
+            v_s=v_s,
+            left=g.v_indices[l_lo : l_lo + nl],
+            right=right,
+            cands=cands_all[lo:hi],
+            counts=counts_all[lo:hi],
+            work=h_work + n2_work + nl,
+            backend=resolved,
+        )
+        out.append((task, c))
+    if bitset_roots:
+        # Triples in key order: the key rank and L_s position of each.
+        rank = np.cumsum(first) - 1
+        left_pos = np.arange(len(lefts), dtype=np.int64) - left_ptr[left_owner]
+        pos = np.repeat(left_pos, hop)[order]
+        _attach_universes(
+            [out[i][0] for i in bitset_roots], np.array(bitset_roots),
+            rank, pos, key_owner, key_ptr, key_w,
+        )
+    return out
+
+
+def _attach_universes(
+    bitset_tasks, idx, rank, pos, key_owner, key_ptr, key_w
+) -> None:
+    """Pack the rows of every bitset root (chunk index ``idx``) with one
+    word scatter.
+
+    Row ``j`` of a root packs ``N(scope[j]) ∩ L_s``: each triple of key
+    ``j`` sets bit ``pos``, the position in ``L_s`` of the ``u`` it came
+    through.  All rows of the chunk live in one word buffer, one
+    contiguous ``(|scope|, n_words)`` block per root.
+    """
+    nw = np.zeros(len(key_ptr) - 1, dtype=np.int64)
+    nw[idx] = [n_words(len(t.left)) for t in bitset_tasks]
+    block_ptr = np.zeros(len(key_ptr), dtype=np.int64)
+    np.cumsum((key_ptr[1:] - key_ptr[:-1]) * nw, out=block_ptr[1:])
+    words = np.zeros(int(block_ptr[-1]), dtype=np.uint64)
+    owner = key_owner[rank]
+    keep = nw[owner] > 0
+    rank, owner, pos = rank[keep], owner[keep], pos[keep]
+    word = block_ptr[owner] + (rank - key_ptr[owner]) * nw[owner]
+    word += pos >> 6
+    np.bitwise_or.at(
+        words, word, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
     )
+    scope = key_w.astype(np.int32)
+    for i, task in zip(idx.tolist(), bitset_tasks):
+        lo, hi = int(key_ptr[i]), int(key_ptr[i + 1])
+        rows = words[block_ptr[i] : block_ptr[i + 1]].reshape(hi - lo, -1)
+        task.universe = BitsetUniverse(task.left, scope[lo:hi], rows)
+
+
+def build_root_task(
+    graph: BipartiteGraph,
+    v_s: int,
+    counters: Counters | None = None,
+    *,
+    backend: str = "sorted",
+) -> RootTask | None:
+    """Build the root task for ``v_s``; ``None`` if empty or deduplicated.
+
+    A one-root :func:`build_root_tasks`; its build charges are merged
+    into ``counters`` when given.
+    """
+    [(task, c)] = build_root_tasks(graph, [v_s], backend=backend)
+    if counters is not None:
+        counters.merge(c)
+    return task

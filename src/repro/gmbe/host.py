@@ -19,7 +19,7 @@ from ..core.bicliques import (
 )
 from ..core.localcount import LocalCounter
 from ..core.runner import relabeling_sink
-from ..core.tasks import RootTask, build_root_task
+from ..core.tasks import RootTask, build_root_tasks, root_chunks
 from ..graph.bipartite import BipartiteGraph
 from ..graph.preprocess import prepare
 from .config import DEFAULT_CONFIG, GMBEConfig
@@ -96,27 +96,28 @@ def gmbe_host(
     # The w/o_REUSE ablation walks freshly allocated frames through the
     # sorted engine, so only node-reuse runs resolve a bitset backend.
     backend = config.set_backend if config.node_reuse else "sorted"
-    for v_s in range(g.n_v):
-        task = build_root_task(g, counter, v_s, counters, backend=backend)
-        if task is None:
-            continue
-        backend_tally[task.backend] += 1
-        counters.maximal += 1
-        emit(task.left, task.right)
-        if config.node_reuse:
-            run_task_with_node_buffer(
-                g, counter, task, emit, counters, prune=config.prune
-            )
-        else:
-            # GMBE-w/o_REUSE: identical traversal on freshly allocated
-            # frames (the §3.1 layout); used by the memory ablation.
-            from ..core.engine import EngineOptions, run_subtree
+    for roots in root_chunks(g):
+        for task, build_counters in build_root_tasks(g, roots, backend=backend):
+            counters.merge(build_counters)
+            if task is None:
+                continue
+            backend_tally[task.backend] += 1
+            counters.maximal += 1
+            emit(task.left, task.right)
+            if config.node_reuse:
+                run_task_with_node_buffer(
+                    g, counter, task, emit, counters, prune=config.prune
+                )
+            else:
+                # GMBE-w/o_REUSE: identical traversal on freshly allocated
+                # frames (the §3.1 layout); used by the memory ablation.
+                from ..core.engine import EngineOptions, run_subtree
 
-            run_subtree(
-                g, counter, task.left, task.right, task.cands, task.counts,
-                emit, counters,
-                EngineOptions("id", False, config.prune),
-            )
+                run_subtree(
+                    g, counter, task.left, task.right, task.cands,
+                    task.counts, emit, counters,
+                    EngineOptions("id", False, config.prune),
+                )
     return EnumerationResult(
         n_maximal=counting.count,
         counters=counters,

@@ -54,7 +54,9 @@ from ..core.bicliques import (
 from ..core.expand import expand_node, gamma_matches
 from ..core.localcount import LocalCounter
 from ..core.runner import relabeling_sink
-from ..core.tasks import build_root_task
+# ``build_root_task`` stays bound here for the layer probes that wrap
+# this module's names; roots are built a chunk at a time below.
+from ..core.tasks import build_root_task, build_root_tasks, root_chunks  # noqa: F401
 from ..checkpoint import (
     CheckpointWriter,
     EmissionRecord,
@@ -493,58 +495,49 @@ def gmbe_gpu(
     #: the checkpointed frontier.
     root_cursor = [start_root]
 
-    #: roots built ahead of the shared counter by the batch gatherer:
+    #: roots built ahead of the shared counter, a chunk at a time:
     #: ``(v_s, cycles, task | None, build_counters, backend | None)``.
     #: Everything observable — ``root_cursor``, ``master`` merge, the
     #: seq-0 emission, backend tally — still happens at *yield* time, so
     #: checkpoints and the emission ledger are independent of lookahead.
     lookahead: deque = deque()
-    build_cursor = [start_root]
+    #: chunks of roots not yet built, from the resume cursor on.  With a
+    #: ``root_mask`` only owned vertices are in them — non-owned ones are
+    #: never built, never yielded, zero modeled cycles — so a shard pays
+    #: only for the roots it owns.  Every chunk is non-empty.
+    pending_chunks = deque(root_chunks(g, start_root, root_mask))
 
-    def _build_next_root() -> SubtreeTask | None:
-        """Build the next root task into ``lookahead`` (pull deferred).
-
-        With a ``root_mask``, non-owned vertices are skipped outright —
-        never built, never yielded, zero modeled cycles — so a shard
-        pays only for the roots it owns.  The skip can exhaust the
-        range without appending anything; callers tolerate an empty
-        ``lookahead`` after a call.
-        """
-        v_s = build_cursor[0]
-        if root_mask is not None:
-            while v_s < g.n_v and not root_mask[v_s]:
-                v_s += 1
-            if v_s >= g.n_v:
-                build_cursor[0] = v_s
-                return None
-        build_cursor[0] = v_s + 1
-        c = Counters()
-        rt = build_root_task(g, counter, v_s, c, backend=config.set_backend)
-        cycles = duration(c)
-        if rt is None:
-            lookahead.append((v_s, cycles, None, c, None))
-            return None
-        c.maximal += 1
-        task = SubtreeTask(
-            left=rt.left,
-            right=rt.right,
-            cands=rt.cands,
-            counts=rt.counts,
-            needs_check=False,
-            universe=rt.universe,
-            lineage=(v_s,),
-        )
-        lookahead.append((v_s, cycles, task, c, rt.backend))
-        return task
+    def _build_next_roots() -> list[SubtreeTask]:
+        """Build the next chunk of roots into ``lookahead`` (pull
+        deferred); returns the chunk's surviving tasks."""
+        roots = pending_chunks.popleft()
+        built = build_root_tasks(g, roots, backend=config.set_backend)
+        tasks = []
+        for v_s, (rt, c) in zip(roots.tolist(), built):
+            cycles = duration(c)
+            if rt is None:
+                lookahead.append((v_s, cycles, None, c, None))
+                continue
+            c.maximal += 1
+            task = SubtreeTask(
+                left=rt.left,
+                right=rt.right,
+                cands=rt.cands,
+                counts=rt.counts,
+                needs_check=False,
+                universe=rt.universe,
+                lineage=(v_s,),
+            )
+            lookahead.append((v_s, cycles, task, c, rt.backend))
+            tasks.append(task)
+        return tasks
 
     def root_source() -> Iterator[tuple[float, SubtreeTask | None]]:
         while True:
-            if not lookahead:
-                if build_cursor[0] >= g.n_v:
+            while not lookahead:
+                if not pending_chunks:
                     return
-                _build_next_root()
-                if not lookahead:
-                    return  # root_mask skipped the entire remaining range
+                _build_next_roots()
             v_s, cycles, task, c, backend = lookahead.popleft()
             root_cursor[0] = v_s + 1
             master.merge(c)
@@ -624,13 +617,15 @@ def gmbe_gpu(
             builds = 0
             while (
                 len(members) < batch_limit
-                and build_cursor[0] < g.n_v
+                and pending_chunks
                 and builds < 8 * batch_limit
             ):
-                builds += 1
-                t = _build_next_root()
-                if t is not None and _batch_eligible(t):
-                    try_add(t)
+                builds += len(pending_chunks[0])
+                for t in _build_next_roots():
+                    if len(members) >= batch_limit:
+                        break
+                    if _batch_eligible(t):
+                        try_add(t)
         if sched_ref and len(members) < batch_limit:
             seen = {m.lineage for m in members}
 

@@ -19,11 +19,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import BicliqueCollector, imbea, mbea, oombea
 from .core.bicliques import Biclique, verify_biclique
 from .graph.bipartite import BipartiteGraph
 
-__all__ = ["VerificationReport", "verify_enumeration", "parse_biclique_file"]
+__all__ = [
+    "VerificationReport",
+    "check_edge_cover",
+    "parse_biclique_file",
+    "verify_enumeration",
+]
 
 _ENUMERATORS = {"oombea": oombea, "imbea": imbea, "mbea": mbea}
 
@@ -132,3 +139,31 @@ def verify_enumeration(
     report.missing = sorted(truth - claimed_set)
     report.spurious = sorted(claimed_set - truth)
     return report
+
+
+def check_edge_cover(
+    graph: BipartiteGraph, bicliques: Iterable
+) -> list[tuple[int, int]]:
+    """Edges of ``graph`` that lie in none of ``bicliques``.
+
+    Every edge ``(u, v)`` extends to at least one maximal biclique, so a
+    complete enumeration covers every edge: a non-empty result proves
+    bicliques are missing, without a second enumeration.  ``bicliques``
+    holds ``(left, right)`` pairs in the graph's own labels.  Returns the
+    uncovered edges as sorted ``(u, v)`` pairs (empty when covered).
+    """
+    n_v = graph.n_v
+    us = np.repeat(np.arange(graph.n_u, dtype=np.int64), graph.degrees_u)
+    # CSR rows are sorted, so the packed edge keys are ascending.
+    edge_keys = us * n_v + graph.u_indices
+    covered = np.zeros(len(edge_keys), dtype=bool)
+    if len(edge_keys) == 0:
+        return []
+    for left, right in bicliques:
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        keys = (left[:, None] * n_v + right[None, :]).ravel()
+        idx = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        covered[idx[edge_keys[idx] == keys]] = True
+    missing = edge_keys[~covered]
+    return [(int(k // n_v), int(k % n_v)) for k in missing]

@@ -138,7 +138,7 @@ def _bitset_root_tasks(g):
     counter = LocalCounter(g)
     tasks = []
     for v in range(g.n_v):
-        t = build_root_task(g, counter, v, None, backend="bitset")
+        t = build_root_task(g, v, None, backend="bitset")
         if t is not None and t.universe is not None and len(t.cands):
             tasks.append(t)
     return counter, tasks

@@ -187,3 +187,24 @@ class TestServe:
         jobs_path.write_text('{"algorithm": "oombea"}\n')
         with pytest.raises(SystemExit):
             main(["serve", "--jobs", str(jobs_path)])
+
+    @pytest.mark.parametrize(
+        "bad_line,offending",
+        [
+            ('{"graph": "Mti", "algorithm": ', "invalid JSON"),
+            ("[1, 2]", "[1, 2]"),
+            ('{"graph": "Mti", "nope": 1}', "'nope'"),
+        ],
+    )
+    def test_jobs_file_bad_line_names_file_line_and_value(
+        self, tmp_path, bad_line, offending
+    ):
+        jobs_path = tmp_path / "jobs.jsonl"
+        jobs_path.write_text(
+            '{"graph": "Mti", "algorithm": "oombea"}\n\n' + bad_line + "\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--jobs", str(jobs_path)])
+        message = str(exc.value.code)
+        assert message.startswith(f"{jobs_path}:3: ")
+        assert offending in message

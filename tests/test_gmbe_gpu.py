@@ -203,3 +203,118 @@ class TestSchedulingPerformance:
         t1 = gmbe_gpu(g, n_gpus=1).sim_time
         t4 = gmbe_gpu(g, n_gpus=4).sim_time
         assert t4 <= t1  # more devices never slower under the shared counter
+
+
+def _collect(graph, **kw):
+    out = []
+    res = gmbe_gpu(graph, lambda L, R: out.append((tuple(L), tuple(R))), **kw)
+    return res, out
+
+
+def _small_chunks(monkeypatch, graph, roots_per_chunk):
+    """Shrink the bulk-build budget to about ``roots_per_chunk`` roots."""
+    from repro.core import tasks
+    from repro.graph.preprocess import prepare
+
+    g = prepare(graph).graph
+    volume = int(g.degrees_u[g.v_indices].sum()) / max(g.n_v, 1)
+    per_root = volume * tasks._TRIPLE_BYTES + tasks._ROOT_BYTES
+    budget = int(per_root * roots_per_chunk)
+    monkeypatch.setattr(tasks, "ROOT_CHUNK_BYTES", budget)
+    return g, tasks.root_chunks(g)
+
+
+class TestRootStream:
+    """The kernel's root stream is unchanged by how roots are chunked."""
+
+    def test_chunk_budget_is_unobservable(self, monkeypatch):
+        from repro.datasets import registry
+
+        graph = registry.load("GH", scale=0.1)
+        plain, out = _collect(graph)
+        _, chunks = _small_chunks(monkeypatch, graph, 3)
+        assert len(chunks) > 3
+        small, out_small = _collect(graph)
+        assert out_small == out
+        assert vars(small.counters) == vars(plain.counters)
+        assert small.sim_time == plain.sim_time
+        assert (
+            small.extras["report"].makespan_cycles
+            == plain.extras["report"].makespan_cycles
+        )
+
+    @pytest.mark.parametrize("roots_per_chunk", [None, 1, 3])
+    def test_sharded_masks_union_equals_plain_run(
+        self, monkeypatch, roots_per_chunk
+    ):
+        graph = random_bipartite(30, 26, 0.25, seed=21)
+        _, plain = _collect(graph)
+        if roots_per_chunk is None:
+            from repro.graph.preprocess import prepare
+
+            n_v = prepare(graph).graph.n_v
+        else:
+            n_v = _small_chunks(monkeypatch, graph, roots_per_chunk)[0].n_v
+        v = np.arange(n_v)
+        # owned vertices further apart than a chunk
+        masks = [v % 7 == r for r in range(7)]
+        union = [b for m in masks for b in _collect(graph, root_mask=m)[1]]
+        assert sorted(union) == sorted(plain)
+        # a mask owning nothing, then one owning only the last vertex
+        none = np.zeros(n_v, dtype=bool)
+        res, out = _collect(graph, root_mask=none)
+        assert out == [] and res.extras["report"].tasks_executed == 0
+        last = none.copy()
+        last[-1] = True
+        parts = _collect(graph, root_mask=~last)[1] + _collect(
+            graph, root_mask=last
+        )[1]
+        assert sorted(parts) == sorted(plain)
+
+    def test_halt_and_resume_mid_chunk(self, monkeypatch, tmp_path):
+        from repro.checkpoint import load_checkpoint
+
+        graph = random_bipartite(40, 30, 0.3, seed=3)
+        cfg = GMBEConfig(bound_height=2, bound_size=4, set_backend="sorted")
+        _, plain = _collect(graph, config=cfg)
+
+        def halt_and_resume(path, halt):
+            first, _ = _collect(
+                graph, config=cfg, checkpoint_path=str(path),
+                checkpoint_every=1, halt_after_tasks=halt,
+            )
+            assert first.extras["halted"] is True
+            cursor = load_checkpoint(path).root_cursor
+            resumed, out2 = _collect(
+                graph, config=cfg, checkpoint_path=str(path), resume=True
+            )
+            # the resumed run replays the snapshot's emissions first
+            return cursor, resumed, out2
+
+        # one chunk holding every root: the resume cursor is inside it
+        cursor, whole, out_whole = halt_and_resume(tmp_path / "a.ckpt", 17)
+        assert 0 < cursor < graph.n_v
+        assert sorted(out_whole) == sorted(plain)
+        # small chunks, a cursor that is not on a chunk boundary
+        _, chunks = _small_chunks(monkeypatch, graph, 4)
+        assert len(chunks) > 2
+        assert cursor not in {int(c[0]) for c in chunks}
+        cursor_small, small, out_small = halt_and_resume(
+            tmp_path / "b.ckpt", 17
+        )
+        assert cursor_small == cursor
+        assert sorted(out_small) == sorted(plain)
+        assert vars(small.counters) == vars(whole.counters)
+        assert small.sim_time == whole.sim_time
+
+    @pytest.mark.parametrize(
+        "code,scale", [("TM", 0.75), ("WA", 1.0), ("Mti", 1.0), ("GH", 0.3)]
+    )
+    def test_every_edge_covered(self, code, scale):
+        from repro.datasets import registry
+        from repro.verify import check_edge_cover
+
+        graph = registry.load(code, scale=scale)
+        res, out = _collect(graph)
+        assert res.n_maximal == len(out) > 0
+        assert check_edge_cover(graph, out) == []

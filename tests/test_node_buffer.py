@@ -13,7 +13,7 @@ from repro.graph.preprocess import prepare
 
 def make_buffer(graph, v_s, *, prune=True):
     lc = LocalCounter(graph)
-    task = build_root_task(graph, lc, v_s)
+    task = build_root_task(graph, v_s)
     assert task is not None
     buf = NodeBuffer(
         graph, lc, task.left, task.right, task.cands, task.counts, prune=prune
@@ -100,7 +100,7 @@ class TestInvariants:
         g = prepare(random_bipartite(20, 14, 0.35, seed=1)).graph
         for v_s in range(g.n_v):
             lc = LocalCounter(g)
-            task = build_root_task(g, lc, v_s)
+            task = build_root_task(g, v_s)
             if task is None or len(task.cands) == 0:
                 continue
             buf = NodeBuffer(g, lc, task.left, task.right, task.cands, task.counts)
@@ -142,7 +142,7 @@ class TestInvariants:
         g = prepare(random_bipartite(30, 20, 0.3, seed=2)).graph
         lc = LocalCounter(g)
         for v_s in range(g.n_v):
-            task = build_root_task(g, lc, v_s)
+            task = build_root_task(g, v_s)
             if task is None:
                 continue
             buf = NodeBuffer(g, lc, task.left, task.right, task.cands, task.counts)

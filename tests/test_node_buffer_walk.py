@@ -23,7 +23,7 @@ from repro.graph.preprocess import prepare
 
 def enumerate_both(graph, v_s, prune):
     lc = LocalCounter(graph)
-    task = build_root_task(graph, lc, v_s)
+    task = build_root_task(graph, v_s)
     if task is None:
         return None
     buf_out = BicliqueCollector()

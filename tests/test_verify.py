@@ -6,6 +6,7 @@ from repro.core import Biclique, BicliqueCollector, oombea
 from repro.graph import random_bipartite, write_edge_list
 from repro.verify import (
     VerificationReport,
+    check_edge_cover,
     parse_biclique_file,
     verify_enumeration,
 )
@@ -122,3 +123,31 @@ class TestCLI:
         lines = op.read_text().splitlines()
         op.write_text("\n".join(lines[:-1]) + "\n")
         assert main(["verify", str(gp), str(op)]) == 1
+
+
+class TestCheckEdgeCover:
+    def test_complete_enumeration_covers_every_edge(self, graph, truth):
+        assert check_edge_cover(graph, truth) == []
+
+    def test_dropped_biclique_leaves_its_private_edges_uncovered(
+        self, paper_graph
+    ):
+        col = BicliqueCollector()
+        oombea(paper_graph, col)
+        for i, dropped in enumerate(col.bicliques):
+            rest = col.bicliques[:i] + col.bicliques[i + 1:]
+            private = sorted(
+                (u, v) for u in dropped.left for v in dropped.right
+                if not any(u in b.left and v in b.right for b in rest)
+            )
+            assert check_edge_cover(paper_graph, rest) == private
+
+    def test_no_bicliques_leaves_every_edge_uncovered(self, paper_graph):
+        assert check_edge_cover(paper_graph, []) == sorted(paper_graph.edges())
+
+    def test_pairs_that_are_not_edges_are_ignored(self):
+        from repro.graph import BipartiteGraph
+
+        g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+        assert check_edge_cover(g, [((0, 1), (0, 1))]) == []
+        assert check_edge_cover(g, [((0,), (1,))]) == [(0, 0), (1, 1)]
