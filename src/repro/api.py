@@ -31,6 +31,7 @@ from .graph import BipartiteGraph
 __all__ = [
     "enumerate_maximal_bicliques",
     "as_bipartite_graph",
+    "validate_shards",
     "validate_size_filters",
 ]
 
@@ -79,6 +80,16 @@ def _validate_size_filter(name: str, value) -> int:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {int(value)}")
     return int(value)
+
+
+def validate_shards(shards) -> int:
+    """Validate a shard count: a positive integer (numpy integers are
+    coerced; bools are rejected)."""
+    if isinstance(shards, bool) or not isinstance(shards, numbers.Integral):
+        raise ValueError(f"shards must be a positive integer, got {shards!r}")
+    if shards < 1:
+        raise ValueError(f"shards must be positive, got {int(shards)}")
+    return int(shards)
 
 
 def validate_size_filters(min_left, min_right) -> tuple[int, int]:
@@ -188,13 +199,7 @@ def enumerate_maximal_bicliques(
             f"unknown algorithm {algorithm!r}; choose from {sorted(_ALGORITHMS)}"
         )
     min_left, min_right = validate_size_filters(min_left, min_right)
-    if isinstance(shards, bool) or not isinstance(shards, numbers.Integral):
-        raise ValueError(
-            f"shards must be a positive integer, got {shards!r}"
-        )
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
+    shards = validate_shards(shards)
     if shards > 1:
         if algorithm != "gmbe":
             raise ValueError(

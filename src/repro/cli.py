@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 
+from .api import validate_shards
 from .core import BicliqueWriter, imbea, mbea, oombea, parmbe, pmbe
 from .datasets import DATASET_ORDER, DATASETS, load
 from .gmbe import GMBEConfig, gmbe_gpu, gmbe_host
@@ -46,10 +48,56 @@ _EXPERIMENTS = (
 )
 
 
+#: library parameter named by a ``ValueError`` -> the flag that sets it
+_FLAG_OF = {
+    "n_gpus": "--gpus",
+    "warps_per_sm": "--warps-per-sm",
+    "max_task_retries": "--max-task-retries",
+    "every_tasks": "--checkpoint-every",
+    "halt_after_tasks": "--halt-after-tasks",
+    "shards": "--shards",
+    "p_sm_crash": "--fault-sm-crash",
+    "p_warp_hang": "--fault-warp-hang",
+    "p_queue_drop": "--fault-queue-drop",
+    "p_mem_pressure": "--fault-mem-pressure",
+    "n_workers": "--workers",
+    "queue_depth": "--queue-depth",
+    "max_bytes": "--cache-mb",
+}
+
+
+@contextmanager
+def _flag_errors(args):
+    """Turn a library ``ValueError`` about a value the command line set
+    into a one-line exit naming the flag and its value.
+
+    The checks stay where they are (``GMBEConfig``, ``FaultPlan``,
+    ``gmbe_gpu``, the broker, the cache); their messages start with the
+    parameter they reject.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        flag = _FLAG_OF.get(str(exc).split(" ", 1)[0])
+        dest = flag and flag[2:].replace("-", "_")
+        if dest is None or not hasattr(args, dest):
+            raise
+        raise SystemExit(
+            f"gmbe {args.command}: invalid {flag} {getattr(args, dest)}: {exc}"
+        ) from None
+
+
 def _load_graph(spec: str) -> BipartiteGraph:
     if spec in DATASETS:
         return load(spec)
-    return read_edge_list(spec)
+    try:
+        return read_edge_list(spec)
+    except OSError as exc:
+        raise SystemExit(
+            f"gmbe: graph {spec!r} is neither a dataset code "
+            f"({', '.join(DATASET_ORDER)}) nor a readable edge-list file "
+            f"({exc.strerror or exc})"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,8 +419,12 @@ def _print_robustness(res) -> None:
         print(f"tasks requeued: {extras['tasks_requeued']} "
               f"(lost: {extras.get('tasks_lost', 0)})")
     if extras.get("halted"):
-        print(f"halted after {extras.get('tasks_executed_total', '?')} tasks"
-              " (checkpoint written; use --resume to continue)")
+        hint = (
+            " (checkpoint written; use --resume to continue)"
+            if extras.get("checkpoint_writes") else ""
+        )
+        print(f"halted after {extras.get('tasks_executed_total', '?')} "
+              f"tasks{hint}")
     if extras.get("resumed"):
         print("resumed from checkpoint")
 
@@ -420,7 +472,7 @@ def _cmd_run(args) -> int:
         )
     if args.resume and args.checkpoint is None:
         raise SystemExit("--resume requires --checkpoint PATH")
-    shards = getattr(args, "shards", 1)
+    shards = validate_shards(getattr(args, "shards", 1))
     if shards > 1:
         if args.algo != "gmbe":
             raise SystemExit("--shards requires --algo gmbe")
@@ -914,11 +966,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "stats":
         return _cmd_stats(args)
     if args.command == "run":
-        return _cmd_run(args)
+        with _flag_errors(args):
+            return _cmd_run(args)
     if args.command == "bench":
         return _cmd_bench(args)
     if args.command == "serve":
-        return _cmd_serve(args)
+        with _flag_errors(args):
+            return _cmd_serve(args)
     if args.command == "faults":
         return _cmd_faults(args)
     if args.command == "flight":

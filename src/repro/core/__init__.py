@@ -27,7 +27,6 @@ from .bicliques import (
 )
 from .bitset import BitsetUniverse, resolve_backend
 from .constrained import constrained_mbe
-from .counting import codegree_histogram, count_bicliques_pq, count_butterflies
 from .engine import EngineOptions, run_engine, run_subtree
 from .imbea import imbea
 from .localcount import LocalCounter, ragged_gather
@@ -64,10 +63,7 @@ __all__ = [
     "LocalCounter",
     "RootTask",
     "build_root_task",
-    "codegree_histogram",
     "constrained_mbe",
-    "count_bicliques_pq",
-    "count_butterflies",
     "imbea",
     "OBJECTIVES",
     "maximal_biclique_count_reference",

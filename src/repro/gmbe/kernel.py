@@ -29,6 +29,8 @@ efficiency.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ from ..core.batch import (
     run_batch,
 )
 from ..core.bicliques import (
-    BicliqueCounter,
     BicliqueSink,
     Counters,
     EnumerationResult,
@@ -109,6 +110,7 @@ class SubtreeTask:
         return self.estimated_height() * len(self.cands)
 
 
+
 def _discard_sink(left, right) -> None:
     """Sink for re-executed tasks: emissions are known duplicates."""
 
@@ -158,8 +160,16 @@ def _should_split(task, config: GMBEConfig) -> bool:
     )
 
 
+def _lane_dims(t: SubtreeTask) -> tuple[int, int, int, int]:
+    """A task's padded lane dimensions: scope, words, candidates, depth."""
+    u, n_c = t.universe, len(t.cands)
+    return len(u.scope), u.n_words, max(n_c, 1), min(len(t.left), n_c) + 2
+
+
 class _EmissionLedger:
-    """Exactly-once emission gate at task granularity.
+    """The kernel's only emission gate: counts every maximal biclique,
+    delivers it to the user sink, and makes delivery exactly-once at
+    task granularity.
 
     ``seq 0`` is a task's own node biclique (reported at root-pull time
     for roots, at the dequeue maximality check for split children);
@@ -173,28 +183,54 @@ class _EmissionLedger:
     set is checkpointed explicitly: it cannot be derived from the
     records because a root's seq-0 emission happens at pull time, before
     its task ever executes.  The retained records double as the
-    checkpoint's result replay.
+    checkpoint's result replay.  Without records an emission costs the
+    count and the sink call, and a lockstep batch goes to the sink as
+    whole pairs plus one count bump per member.
     """
 
-    __slots__ = ("sink", "executed", "records")
+    __slots__ = ("count", "sink", "batch_sink", "batch_labels",
+                 "executed", "records")
 
-    def __init__(self, sink, *, keep_records: bool) -> None:
-        self.sink = sink
+    def __init__(self, prepared, sink, *, relabel: bool, robust: bool,
+                 keep_records: bool) -> None:
+        self.count = 0
+        #: per-emission delivery, relabelled to input labels on the way
+        self.sink = None if sink is None else (
+            relabeling_sink(prepared, sink) if relabel else sink
+        )
+        #: batch pairs bypass ``self.sink``: when retained records do
+        #: not pin prepared labels, a batch is relabelled once, for the
+        #: whole batch, to ``batch_labels`` (see ``_compute_batch``)
+        self.batch_sink = sink
+        self.batch_labels = (
+            prepared if sink is not None and relabel and not keep_records
+            else None
+        )
         #: lineages whose execute() has already delivered emissions
-        self.executed: set = set()
+        #: (None when not robust: nothing is ever re-executed)
+        self.executed: set | None = set() if robust else None
         #: retained only when a checkpoint is being written — the
-        #: copies are the dominant robust-mode cost otherwise
+        #: copies are the dominant robust-mode cost otherwise; kept in
+        #: prepared labels
         self.records: list[EmissionRecord] | None = (
             [] if keep_records else None
         )
 
-    def mark_executed(self, lineage: tuple) -> bool:
-        """Record that ``lineage`` is executing; True if it already did
-        (the caller must then suppress every emission of this run)."""
-        if lineage in self.executed:
+    def first_run(self, lineage: tuple) -> bool:
+        """True unless ``lineage`` already delivered its emissions (a
+        crash retry, whose whole emission sequence is then suppressed)."""
+        executed = self.executed
+        if executed is None:
             return True
-        self.executed.add(lineage)
-        return False
+        if lineage in executed:
+            return False
+        executed.add(lineage)
+        return True
+
+    def deliver(self, left, right) -> None:
+        self.count += 1
+        if self.sink is not None:
+            self.sink(left, right)
 
     def emit(self, lineage: tuple, seq: int, left, right) -> None:
         if self.records is not None:
@@ -202,16 +238,43 @@ class _EmissionLedger:
             self.records.append(
                 EmissionRecord(lineage, seq, left.copy(), right.copy())
             )
-        self.sink(left, right)
+        self.deliver(left, right)
+
+    def emit_own(self, task: SubtreeTask) -> None:
+        """A task's own node biclique, ledger seq 0."""
+        self.emit(task.lineage, 0, task.left, task.right)
+
+    def subtree_sink(self, lineage: tuple, first_run: bool):
+        """Sink for the task's sequential subtree walk."""
+        if not first_run:
+            return _discard_sink
+        if self.records is None:
+            return self.deliver
+        seq = itertools.count(1)  # 0 is the task's own node biclique
+        return lambda left, right: self.emit(lineage, next(seq), left, right)
+
+    def deliver_batch(self, lineage: tuple, emissions: BatchEmissions,
+                      member: int) -> None:
+        """Member ``member``'s subtree emissions of a computed batch."""
+        if self.records is not None:
+            sink = self.subtree_sink(lineage, True)
+            for left, right in emissions.pairs(member):
+                sink(left, right)
+            return
+        sink = self.batch_sink
+        if sink is not None:
+            for left, right in emissions.pairs(member):
+                sink(left, right)
+        ptr = emissions.member_ptr
+        self.count += int(ptr[member + 1] - ptr[member])
 
     def preload(self, records, executed) -> None:
         """Seed from checkpoint state, replaying each record into the
         sink so a resumed run reports the complete biclique set."""
         self.executed.update(executed)
+        self.records.extend(records)
         for rec in records:
-            if self.records is not None:
-                self.records.append(rec)
-            self.sink(
+            self.deliver(
                 np.asarray(rec.left, dtype=np.int32),
                 np.asarray(rec.right, dtype=np.int32),
             )
@@ -276,6 +339,448 @@ def _register_run_telemetry(
                 lineage=list(ev.lineage) if ev.lineage is not None else None,
                 **ev.detail,
             )
+
+
+def _load_snapshot(checkpoint_path, graph, config, dev, n_gpus, fault_plan):
+    """Load and validate a resume snapshot; returns it with the fault
+    plan restored to its recorded cursor."""
+    snapshot = load_checkpoint(checkpoint_path)
+    snapshot.validate_against(
+        graph_fingerprint=graph.fingerprint,
+        config_signature=config.signature(),
+        device_name=dev.name,
+        n_gpus=n_gpus,
+    )
+    state = snapshot.fault_plan
+    if state is not None:
+        if state.get("type") == "ReplayFaultPlan":
+            if fault_plan is None:
+                raise ValueError(
+                    "checkpoint was recorded under a replayed fault "
+                    "log; pass the same replay plan to resume"
+                )
+            fault_plan.cursor = int(state.get("cursor", 0))
+        else:
+            fault_plan = FaultPlan.from_state(state)
+    return snapshot, fault_plan
+
+
+class _Kernel:
+    """One GMBE run's state and the persistent-thread loop's callbacks
+    (Alg. 4): the root stream the shared counter pulls from, ``execute``
+    with cross-task batching and one-level splitting, and the
+    checkpoint snapshot of the frontier.
+
+    Layer functions (``run_batch``, ``expand_node``, ...) are looked up
+    as module globals at call time, so probes that wrap this module's
+    names see every call.
+    """
+
+    def __init__(
+        self, prepared, graph, config, dev, n_gpus, ledger, *,
+        root_mask, snapshot, fault_plan, writer, collect_stats,
+    ) -> None:
+        self.g = g = prepared.graph
+        self.graph = graph
+        self.config = config
+        self.dev = dev
+        self.n_gpus = n_gpus
+        self.ledger = ledger
+        self.master = Counters()
+        self.counter = LocalCounter(g)
+        self.efficiency = dev.warp_efficiency()
+        if config.scheduling == "block":
+            # one unit per SM; its warps share the data-parallel part
+            self.units_per_sm = 1
+            f = dev.block_parallel_fraction
+            self.data_scale = (1.0 - f) + f / dev.warps_per_sm
+        else:
+            self.units_per_sm = dev.warps_per_sm
+            self.data_scale = 1.0
+        self.backend_tally = {"sorted": 0, "bitset": 0}
+        self.fault_plan = fault_plan
+        self.writer = writer
+        self.scheduler = None
+        #: split-overhead cycles, reported to telemetry
+        self.split_cycles = 0.0
+        self.resumed = snapshot is not None
+        self.base_elapsed = 0.0
+        self.base_tasks_executed = 0
+        self.base_tasks_split = 0
+        self.initial_tasks: list[tuple[SubtreeTask, int]] = []
+        start_root = 0
+        if snapshot is not None:
+            for name, value in snapshot.counters.items():
+                if hasattr(self.master, name):
+                    setattr(self.master, name, value)
+            ledger.preload(snapshot.emissions, snapshot.executed)
+            self.base_elapsed = snapshot.elapsed_cycles
+            self.base_tasks_executed = snapshot.tasks_executed
+            self.base_tasks_split = snapshot.tasks_split
+            start_root = snapshot.root_cursor
+            # Restored tasks run on the sorted backend (universe=None):
+            # the enumerated bicliques are bit-identical across
+            # backends, so only modeled work units shift.
+            self.initial_tasks = [
+                (SubtreeTask(
+                    np.asarray(rec.left, dtype=np.int32),
+                    np.asarray(rec.right, dtype=np.int32),
+                    np.asarray(rec.cands, dtype=np.int32),
+                    np.asarray(rec.counts, dtype=np.int64),
+                    needs_check=rec.needs_check,
+                    lineage=rec.lineage,
+                ), rec.retries)
+                for rec in snapshot.tasks
+            ]
+        #: next V vertex the shared atomic counter will hand out — part
+        #: of the checkpointed frontier.
+        self.root_cursor = start_root
+        #: roots built ahead of the shared counter, a chunk at a time:
+        #: ``(v_s, cycles, task | None, build_counters, backend | None)``.
+        #: Everything observable — ``root_cursor``, ``master`` merge, the
+        #: seq-0 emission, backend tally — still happens at *yield* time,
+        #: so checkpoints and the emission ledger are independent of
+        #: lookahead.
+        self.lookahead: deque = deque()
+        #: chunks of roots not yet built, from the resume cursor on.
+        #: With a ``root_mask`` only owned vertices are in them —
+        #: non-owned ones are never built, never yielded, zero modeled
+        #: cycles — so a shard pays only for the roots it owns.  Every
+        #: chunk is non-empty.
+        self.pending_chunks = deque(root_chunks(g, start_root, root_mask))
+        batch = config.batch_tasks
+        self.batch_limit = (
+            0 if batch == "off" else _AUTO_BATCH if batch == "auto"
+            else int(batch)
+        )
+        self.batch_cache: dict[tuple, _BatchedOutcome] = {}
+        self.batch_stats = (
+            BatchStats() if self.batch_limit and collect_stats else None
+        )
+
+    def duration(self, c: Counters) -> float:
+        """Modeled cycles of one unit's work ``c`` (DESIGN.md §6)."""
+        data = c.simt_cycles * self.data_scale
+        serial = self.dev.node_overhead_cycles * max(c.nodes_generated, 1)
+        return (data + serial) / self.efficiency
+
+    def _build_next_roots(self) -> list[SubtreeTask]:
+        """Build the next chunk of roots into ``lookahead`` (pull
+        deferred); returns the chunk's surviving tasks."""
+        roots = self.pending_chunks.popleft()
+        built = build_root_tasks(self.g, roots, backend=self.config.set_backend)
+        lookahead = self.lookahead
+        tasks = []
+        for v_s, (rt, c) in zip(roots.tolist(), built):
+            cycles = self.duration(c)
+            if rt is None:
+                lookahead.append((v_s, cycles, None, c, None))
+                continue
+            c.maximal += 1
+            task = SubtreeTask(
+                rt.left, rt.right, rt.cands, rt.counts,
+                universe=rt.universe, lineage=(v_s,),
+            )
+            lookahead.append((v_s, cycles, task, c, rt.backend))
+            tasks.append(task)
+        return tasks
+
+    def root_source(self) -> Iterator[tuple[float, SubtreeTask | None]]:
+        """Roots in shared-counter order, charged and emitted (seq 0) at
+        pull time."""
+        lookahead = self.lookahead
+        while True:
+            while not lookahead:
+                if not self.pending_chunks:
+                    return
+                self._build_next_roots()
+            v_s, cycles, task, c, backend = lookahead.popleft()
+            self.root_cursor = v_s + 1
+            self.master.merge(c)
+            if task is None:
+                yield cycles, None
+                continue
+            self.backend_tally[backend] += 1
+            self.ledger.emit_own(task)
+            yield cycles, task
+
+    # ------------------------------------------------------------------
+    # Cross-task batched execution (DESIGN.md §10).  Compatible dense
+    # tasks — queued siblings plus look-ahead roots — are *peeked*, their
+    # outcomes computed in one vectorized lockstep pass, and the results
+    # cached per lineage.  Emissions, counter merges, and cycles are only
+    # delivered when each task's own execute() event fires, so the
+    # simulated schedule, checkpoints, and fault interleavings are
+    # bit-identical to batch_tasks="off".
+    # ------------------------------------------------------------------
+    def _batch_eligible(self, t: SubtreeTask) -> bool:
+        return t.universe is not None and not _should_split(t, self.config)
+
+    def _batch_peers(self, seed: SubtreeTask, members: list, device_id: int):
+        """Admission candidates for ``seed``'s batch, in order: look-ahead
+        roots, then newly built root chunks (roots never sit in the
+        queue), then queued tasks of the same lineage depth.  Stops
+        offering once ``members`` is full."""
+        limit, cache = self.batch_limit, self.batch_cache
+        eligible = self._batch_eligible
+        dep = len(seed.lineage)
+        if dep == 1:
+            for _v, _cycles, t, _c, _backend in self.lookahead:
+                if len(members) >= limit:
+                    break
+                if t is not None and t.lineage not in cache and eligible(t):
+                    yield t
+            builds = 0
+            pending = self.pending_chunks
+            while len(members) < limit and pending and builds < 8 * limit:
+                builds += len(pending[0])
+                for t in self._build_next_roots():
+                    if len(members) >= limit:
+                        break
+                    if eligible(t):
+                        yield t
+        if len(members) < limit:
+            seen = {m.lineage for m in members}
+            yield from self.scheduler.peek_pending(
+                lambda p: (
+                    isinstance(p, SubtreeTask)
+                    and len(p.lineage) == dep
+                    and p.lineage not in cache
+                    and p.lineage not in seen
+                    and eligible(p)
+                ),
+                limit - len(members),
+                device_id=device_id,
+            )
+
+    def _admit_batch(self, seed: SubtreeTask, device_id: int) -> list:
+        """``seed`` plus every peer that keeps each padded lane array
+        within ``_BATCH_ARRAY_BYTES``."""
+        members = [seed]
+        dims = _lane_dims(seed)
+        for t in self._batch_peers(seed, members, device_id):
+            grown = tuple(map(max, dims, _lane_dims(t)))
+            if lane_state_bytes(len(members) + 1, *grown) <= _BATCH_ARRAY_BYTES:
+                dims = grown
+                members.append(t)
+        return members
+
+    def _compute_batch(self, seed: SubtreeTask, device_id: int) -> None:
+        duration = self.duration
+        slots = [
+            _BatchSlot(task=m, counters=Counters())
+            for m in self._admit_batch(seed, device_id)
+        ]
+        checks = [s for s in slots if s.task.needs_check]
+        if checks:
+            oks = batch_gamma_matches(
+                [s.task.universe for s in checks],
+                [s.task.left for s in checks],
+                [len(s.task.right) for s in checks],
+                [s.counters for s in checks],
+            )
+            for s, ok in zip(checks, oks):
+                if ok:
+                    s.counters.maximal += 1
+                    s.own = True
+                    s.base = duration(s.counters)
+                else:
+                    s.counters.non_maximal += 1
+                    s.failed = True
+        runs = [s for s in slots if not s.failed]
+        emissions = run_batch(
+            [BatchMember(s.task.universe, s.task.left, s.task.right,
+                         s.task.cands, s.task.counts, s.counters)
+             for s in runs],
+            prune=self.config.prune, stats=self.batch_stats,
+        )
+        if self.ledger.batch_labels is not None:
+            emissions = emissions.relabeled(self.ledger.batch_labels)
+        cache = self.batch_cache
+        for i, s in enumerate(runs):
+            cache[s.task.lineage] = _BatchedOutcome(
+                s.base + duration(s.counters), s.counters, emissions, i, s.own
+            )
+        for s in slots:
+            if s.failed:
+                cache[s.task.lineage] = _BatchedOutcome(
+                    duration(s.counters), s.counters, None, 0, False
+                )
+
+    def _consume_batched(
+        self, task: SubtreeTask, out: _BatchedOutcome
+    ) -> ExecOutcome:
+        ledger = self.ledger
+        if ledger.first_run(task.lineage):
+            if out.own:
+                ledger.emit_own(task)
+            if out.emissions is not None:
+                ledger.deliver_batch(task.lineage, out.emissions, out.member)
+        self.master.merge(out.counters)
+        return ExecOutcome(cycles=out.cycles)
+
+    def execute(self, task: SubtreeTask, device_id: int) -> ExecOutcome:
+        if self.batch_limit:
+            out = self.batch_cache.pop(task.lineage, None)
+            if out is None and self._batch_eligible(task):
+                self._compute_batch(task, device_id)
+                out = self.batch_cache.pop(task.lineage)
+            if out is not None:
+                return self._consume_batched(task, out)
+        c = Counters()
+        base = 0.0
+        ledger = self.ledger
+        first_run = ledger.first_run(task.lineage)
+        if task.needs_check:
+            if not gamma_matches(
+                self.g, task.left, len(task.right), c, universe=task.universe
+            ):
+                c.non_maximal += 1
+                self.master.merge(c)
+                return ExecOutcome(cycles=self.duration(c))
+            c.maximal += 1
+            if first_run:
+                ledger.emit_own(task)
+            base = self.duration(c)
+        if _should_split(task, self.config):
+            return self._split(task, c, base)
+        run_task_with_node_buffer(
+            self.g, self.counter, task,
+            ledger.subtree_sink(task.lineage, first_run), c,
+            prune=self.config.prune,
+        )
+        self.master.merge(c)
+        return ExecOutcome(cycles=base + self.duration(c))
+
+    def _split(self, task: SubtreeTask, c: Counters, base: float) -> ExecOutcome:
+        """Expand one level and re-enqueue the children (Alg. 4 #19-#23)."""
+        g, dev, prune = self.g, self.dev, self.config.prune
+        children: list[tuple[float, SubtreeTask]] = []
+        elapsed = base
+        remaining = task.cands
+        remaining_counts = task.counts
+        left_mask = (
+            task.universe.mask_of_left_subset(task.left)
+            if task.universe is not None
+            else None
+        )
+        while len(remaining):
+            gen = Counters()
+            v_t = int(remaining[0])
+            exp = expand_node(
+                g, self.counter, task.left, v_t, remaining, gen,
+                universe=task.universe, left_mask=left_mask,
+            )
+            gen.nodes_generated += 1
+            child = SubtreeTask(
+                exp.left, sets.union(task.right, exp.absorbed),
+                exp.new_candidates, exp.new_counts, needs_check=True,
+                universe=task.universe,
+                lineage=task.lineage + (len(children),),
+            )
+            elapsed += self.duration(gen) + dev.local_queue_cycles
+            children.append((elapsed, child))
+            c.merge(gen)
+            remaining, remaining_counts = remaining[1:], remaining_counts[1:]
+            if prune:
+                # §4.2 applies at split nodes too: siblings whose
+                # local neighborhood size is unchanged by this
+                # child's L' can only yield non-maximal nodes.
+                changed = exp.all_counts[1:] != remaining_counts
+                c.pruned += int(len(changed) - np.count_nonzero(changed))
+                remaining = remaining[changed]
+                remaining_counts = remaining_counts[changed]
+        self.master.merge(c)
+        self.split_cycles += elapsed - base
+        return ExecOutcome(cycles=elapsed, children=children)
+
+    def snapshot(self, now_cycles: float) -> Snapshot:
+        """The resumable frontier (DESIGN.md §9)."""
+        scheduler = self.scheduler
+        tasks = [
+            TaskRecord(
+                lineage=lineage,
+                left=[int(x) for x in payload.left],
+                right=[int(x) for x in payload.right],
+                cands=[int(x) for x in payload.cands],
+                counts=[int(x) for x in payload.counts],
+                needs_check=payload.needs_check,
+                retries=retries,
+            )
+            for lineage, payload, retries in scheduler.frontier()
+        ]
+        return Snapshot(
+            graph_fingerprint=self.graph.fingerprint,
+            config_signature=list(self.config.signature()),
+            device_name=self.dev.name,
+            n_gpus=self.n_gpus,
+            root_cursor=self.root_cursor,
+            n_roots=self.g.n_v,
+            tasks=tasks,
+            emissions=list(self.ledger.records),
+            executed=sorted(self.ledger.executed),
+            counters={
+                name: int(value) for name, value in vars(self.master).items()
+            },
+            fault_plan=(
+                self.fault_plan.state() if self.fault_plan is not None
+                else None
+            ),
+            elapsed_cycles=self.base_elapsed + now_cycles,
+            tasks_executed=self.base_tasks_executed + scheduler.tasks_executed,
+            tasks_split=self.base_tasks_split + scheduler.tasks_split,
+        )
+
+    def on_task_done(self, tasks_done: int, now_cycles: float) -> None:
+        self.writer.maybe_write(
+            tasks_done, functools.partial(self.snapshot, now_cycles)
+        )
+
+    def result(self, report, robust: bool) -> EnumerationResult:
+        """Close the checkpoint and package the run's result."""
+        writer, master, dev = self.writer, self.master, self.dev
+        if writer is not None:
+            if report.halted:
+                # Final frontier snapshot so a --resume picks up here.
+                writer.write(self.snapshot(report.makespan_cycles))
+            else:
+                writer.finalize_success()
+        total_cycles = self.base_elapsed + report.makespan_cycles
+        lane_util = (
+            master.set_op_work / (32.0 * master.simt_cycles)
+            if master.simt_cycles
+            else 0.0
+        )
+        extras = {
+            "report": report,
+            "device": dev,
+            "n_gpus": self.n_gpus,
+            "per_gpu_seconds": [
+                dev.cycles_to_seconds(t) for t in report.per_device_cycles
+            ],
+            "queue_stats": report.queue_stats,
+            "warp_efficiency": lane_util,
+            "units_per_sm": self.units_per_sm,
+            "set_backend_tasks": self.backend_tally,
+        }
+        if robust:
+            extras.update({
+                "fault_log": report.fault_log,
+                "tasks_requeued": report.tasks_requeued,
+                "tasks_lost": report.tasks_lost,
+                "halted": report.halted,
+                "resumed": self.resumed,
+                "checkpoint_writes": writer.writes if writer is not None else 0,
+                "tasks_executed_total": (
+                    self.base_tasks_executed + report.tasks_executed
+                ),
+            })
+        return EnumerationResult(
+            n_maximal=self.ledger.count,
+            counters=master,
+            sim_time=dev.cycles_to_seconds(total_cycles),
+            extras=extras,
+        )
 
 
 def gmbe_gpu(
@@ -361,479 +866,56 @@ def gmbe_gpu(
     """
     if n_gpus <= 0:
         raise ValueError("n_gpus must be positive")
+    if halt_after_tasks is not None and halt_after_tasks < 1:
+        raise ValueError(
+            f"halt_after_tasks must be positive, got {halt_after_tasks}"
+        )
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
+    writer = None if checkpoint_path is None else CheckpointWriter(
+        checkpoint_path, every_tasks=checkpoint_every
+    )
     prepared = prepare(graph, order=config.order)
-    g = prepared.graph
     if root_mask is not None:
         root_mask = np.asarray(root_mask, dtype=bool)
-        if root_mask.shape != (g.n_v,):
+        n_v = prepared.graph.n_v
+        if root_mask.shape != (n_v,):
             raise ValueError(
                 f"root_mask must cover the prepared V side: expected "
-                f"shape ({g.n_v},), got {root_mask.shape}"
+                f"shape ({n_v},), got {root_mask.shape}"
             )
     dev = device.with_(warps_per_sm=config.warps_per_sm)
-    counting = BicliqueCounter()
-    inner = None if sink is None else (
-        relabeling_sink(prepared, sink) if relabel else sink
-    )
+    if telemetry is None:
+        telemetry = current_telemetry()
+    if telemetry is not None and not telemetry.enabled:
+        telemetry = None
+    tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
 
-    def emit(left: np.ndarray, right: np.ndarray) -> None:
-        counting(left, right)
-        if inner is not None:
-            inner(left, right)
+    snapshot = None
+    if resume:
+        snapshot, fault_plan = _load_snapshot(
+            checkpoint_path, graph, config, dev, n_gpus, fault_plan
+        )
 
     robust = (
         fault_plan is not None
         or checkpoint_path is not None
         or halt_after_tasks is not None
     )
-
-    if telemetry is None:
-        telemetry = current_telemetry()
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
-    #: split-overhead cycle accumulator; ``None`` keeps the split path
-    #: untouched when telemetry is off
-    split_cycles = [0.0] if telemetry is not None else None
-
-    # ------------------------------------------------------------------
-    # Resume: load + validate the snapshot before any work happens.
-    # ------------------------------------------------------------------
-    snapshot = None
-    if resume:
-        snapshot = load_checkpoint(checkpoint_path)
-        snapshot.validate_against(
-            graph_fingerprint=graph.fingerprint,
-            config_signature=config.signature(),
-            device_name=dev.name,
-            n_gpus=n_gpus,
-        )
-        if snapshot.fault_plan is not None:
-            state = snapshot.fault_plan
-            if state.get("type") == "ReplayFaultPlan":
-                if fault_plan is None:
-                    raise ValueError(
-                        "checkpoint was recorded under a replayed fault "
-                        "log; pass the same replay plan to resume"
-                    )
-                fault_plan.cursor = int(state.get("cursor", 0))
-            else:
-                fault_plan = FaultPlan.from_state(state)
-
-    ledger = (
-        _EmissionLedger(emit, keep_records=checkpoint_path is not None)
-        if robust
-        else None
+    ledger = _EmissionLedger(
+        prepared, sink, relabel=relabel, robust=robust,
+        keep_records=checkpoint_path is not None,
     )
-    #: without records to retain, the ledger does no per-emission work
-    #: (dedup is per task via ``mark_executed``) — emit straight to the
-    #: sink so zero-fault robust runs pay nothing per biclique
-    keep_records = ledger is not None and ledger.records is not None
-    #: without records, batched emissions bypass ``emit``: a batch is
-    #: relabelled once (when a relabelling sink is given) and its pairs
-    #: go straight to ``sink``; retained records stay in prepared labels
-    relabel_batches = sink is not None and relabel and not keep_records
-    #: hot-path alias for the per-task dedup set (None when not robust)
-    executed_set = ledger.executed if ledger is not None else None
-    master = Counters()
-    base_elapsed = 0.0
-    base_tasks_executed = 0
-    base_tasks_split = 0
-    start_root = 0
-    initial_tasks: list[tuple[SubtreeTask, int]] = []
-    if snapshot is not None:
-        for name, value in snapshot.counters.items():
-            if hasattr(master, name):
-                setattr(master, name, value)
-        ledger.preload(snapshot.emissions, snapshot.executed)
-        base_elapsed = snapshot.elapsed_cycles
-        base_tasks_executed = snapshot.tasks_executed
-        base_tasks_split = snapshot.tasks_split
-        start_root = snapshot.root_cursor
-        for rec in snapshot.tasks:
-            # Restored tasks run on the sorted backend (universe=None):
-            # the enumerated bicliques are bit-identical across
-            # backends, so only modeled work units shift.
-            initial_tasks.append((
-                SubtreeTask(
-                    left=np.asarray(rec.left, dtype=np.int32),
-                    right=np.asarray(rec.right, dtype=np.int32),
-                    cands=np.asarray(rec.cands, dtype=np.int32),
-                    counts=np.asarray(rec.counts, dtype=np.int64),
-                    needs_check=rec.needs_check,
-                    universe=None,
-                    lineage=rec.lineage,
-                ),
-                rec.retries,
-            ))
-
-    counter = LocalCounter(g)
-    efficiency = dev.warp_efficiency()
-
-    if config.scheduling == "block":
-        units_per_sm = 1
-        k = dev.warps_per_sm
-        f = dev.block_parallel_fraction
-
-        def duration(c: Counters) -> float:
-            data = c.simt_cycles * ((1.0 - f) + f / k)
-            serial = dev.node_overhead_cycles * max(c.nodes_generated, 1)
-            return (data + serial) / efficiency
-
-    else:
-        units_per_sm = dev.warps_per_sm
-
-        def duration(c: Counters) -> float:
-            data = c.simt_cycles
-            serial = dev.node_overhead_cycles * max(c.nodes_generated, 1)
-            return (data + serial) / efficiency
-
-    backend_tally = {"sorted": 0, "bitset": 0}
-    #: next V vertex the shared atomic counter will hand out — part of
-    #: the checkpointed frontier.
-    root_cursor = [start_root]
-
-    #: roots built ahead of the shared counter, a chunk at a time:
-    #: ``(v_s, cycles, task | None, build_counters, backend | None)``.
-    #: Everything observable — ``root_cursor``, ``master`` merge, the
-    #: seq-0 emission, backend tally — still happens at *yield* time, so
-    #: checkpoints and the emission ledger are independent of lookahead.
-    lookahead: deque = deque()
-    #: chunks of roots not yet built, from the resume cursor on.  With a
-    #: ``root_mask`` only owned vertices are in them — non-owned ones are
-    #: never built, never yielded, zero modeled cycles — so a shard pays
-    #: only for the roots it owns.  Every chunk is non-empty.
-    pending_chunks = deque(root_chunks(g, start_root, root_mask))
-
-    def _build_next_roots() -> list[SubtreeTask]:
-        """Build the next chunk of roots into ``lookahead`` (pull
-        deferred); returns the chunk's surviving tasks."""
-        roots = pending_chunks.popleft()
-        built = build_root_tasks(g, roots, backend=config.set_backend)
-        tasks = []
-        for v_s, (rt, c) in zip(roots.tolist(), built):
-            cycles = duration(c)
-            if rt is None:
-                lookahead.append((v_s, cycles, None, c, None))
-                continue
-            c.maximal += 1
-            task = SubtreeTask(
-                left=rt.left,
-                right=rt.right,
-                cands=rt.cands,
-                counts=rt.counts,
-                needs_check=False,
-                universe=rt.universe,
-                lineage=(v_s,),
-            )
-            lookahead.append((v_s, cycles, task, c, rt.backend))
-            tasks.append(task)
-        return tasks
-
-    def root_source() -> Iterator[tuple[float, SubtreeTask | None]]:
-        while True:
-            while not lookahead:
-                if not pending_chunks:
-                    return
-                _build_next_roots()
-            v_s, cycles, task, c, backend = lookahead.popleft()
-            root_cursor[0] = v_s + 1
-            master.merge(c)
-            if task is None:
-                yield cycles, None
-                continue
-            backend_tally[backend] += 1
-            if keep_records:
-                ledger.emit((v_s,), 0, task.left, task.right)
-            else:
-                emit(task.left, task.right)
-            yield cycles, task
-
-    # ------------------------------------------------------------------
-    # Cross-task batched execution (DESIGN.md §10).  Compatible dense
-    # tasks — queued siblings plus look-ahead roots — are *peeked*, their
-    # outcomes computed in one vectorized lockstep pass, and the results
-    # cached per lineage.  Emissions, counter merges, and cycles are only
-    # delivered when each task's own execute() event fires, so the
-    # simulated schedule, checkpoints, and fault interleavings are
-    # bit-identical to batch_tasks="off".
-    # ------------------------------------------------------------------
-    if config.batch_tasks == "off":
-        batch_limit = 0
-    elif config.batch_tasks == "auto":
-        batch_limit = _AUTO_BATCH
-    else:
-        batch_limit = int(config.batch_tasks)
-    batch_cache: dict[tuple, _BatchedOutcome] = {}
-    batch_stats = (
-        BatchStats() if batch_limit and telemetry is not None else None
+    kernel = _Kernel(
+        prepared, graph, config, dev, n_gpus, ledger,
+        root_mask=root_mask, snapshot=snapshot, fault_plan=fault_plan,
+        writer=writer, collect_stats=telemetry is not None,
     )
-    #: filled after scheduler construction (execute closes over it)
-    sched_ref: list = []
-
-    def _batch_eligible(t: SubtreeTask) -> bool:
-        return t.universe is not None and not _should_split(t, config)
-
-    def _compute_batch(seed: SubtreeTask, device_id: int) -> None:
-        members = [seed]
-        u = seed.universe
-        dims = [
-            len(u.scope),
-            u.n_words,
-            max(len(seed.cands), 1),
-            min(len(seed.left), len(seed.cands)) + 2,
-        ]
-
-        def try_add(t: SubtreeTask) -> None:
-            tu = t.universe
-            smax = max(dims[0], len(tu.scope))
-            wmax = max(dims[1], tu.n_words)
-            cmax = max(dims[2], len(t.cands), 1)
-            dmax = max(dims[3], min(len(t.left), len(t.cands)) + 2)
-            kk = len(members) + 1
-            size = lane_state_bytes(kk, smax, wmax, cmax, dmax)
-            if size > _BATCH_ARRAY_BYTES:
-                return
-            dims[0], dims[1], dims[2], dims[3] = smax, wmax, cmax, dmax
-            members.append(t)
-
-        dep = len(seed.lineage)
-        if dep == 1:
-            # Roots never sit in the queue (they are pulled straight off
-            # the shared counter), so batch peers come from building
-            # ahead; the observable pull stays at yield time.
-            for entry in lookahead:
-                if len(members) >= batch_limit:
-                    break
-                t = entry[2]
-                if (
-                    t is not None
-                    and t.lineage not in batch_cache
-                    and _batch_eligible(t)
-                ):
-                    try_add(t)
-            builds = 0
-            while (
-                len(members) < batch_limit
-                and pending_chunks
-                and builds < 8 * batch_limit
-            ):
-                builds += len(pending_chunks[0])
-                for t in _build_next_roots():
-                    if len(members) >= batch_limit:
-                        break
-                    if _batch_eligible(t):
-                        try_add(t)
-        if sched_ref and len(members) < batch_limit:
-            seen = {m.lineage for m in members}
-
-            def pred(p) -> bool:
-                return (
-                    isinstance(p, SubtreeTask)
-                    and len(p.lineage) == dep
-                    and p.lineage not in batch_cache
-                    and p.lineage not in seen
-                    and _batch_eligible(p)
-                )
-
-            for p in sched_ref[0].peek_pending(
-                pred, batch_limit - len(members), device_id=device_id
-            ):
-                try_add(p)
-
-        slots = [_BatchSlot(task=m, counters=Counters()) for m in members]
-        checks = [s for s in slots if s.task.needs_check]
-        if checks:
-            oks = batch_gamma_matches(
-                [s.task.universe for s in checks],
-                [s.task.left for s in checks],
-                [len(s.task.right) for s in checks],
-                [s.counters for s in checks],
-            )
-            for s, ok in zip(checks, oks):
-                if ok:
-                    s.counters.maximal += 1
-                    s.own = True
-                    s.base = duration(s.counters)
-                else:
-                    s.counters.non_maximal += 1
-                    s.failed = True
-        runs = [s for s in slots if not s.failed]
-        emissions = run_batch(
-            [
-                BatchMember(
-                    universe=s.task.universe,
-                    left=s.task.left,
-                    right=s.task.right,
-                    cands=s.task.cands,
-                    counts=s.task.counts,
-                    counters=s.counters,
-                )
-                for s in runs
-            ],
-            prune=config.prune,
-            stats=batch_stats,
-        )
-        if relabel_batches:
-            emissions = emissions.relabeled(prepared)
-        for i, s in enumerate(runs):
-            batch_cache[s.task.lineage] = _BatchedOutcome(
-                s.base + duration(s.counters), s.counters, emissions, i, s.own
-            )
-        for s in slots:
-            if s.failed:
-                batch_cache[s.task.lineage] = _BatchedOutcome(
-                    duration(s.counters), s.counters, None, 0, False
-                )
-
-    def _consume_batched(task: SubtreeTask, out: _BatchedOutcome) -> ExecOutcome:
-        if executed_set is not None:
-            lin = task.lineage
-            suppress = lin in executed_set
-            if not suppress:
-                executed_set.add(lin)
-        else:
-            suppress = False
-        if not suppress:
-            em = out.emissions
-            pairs = em.pairs(out.member) if em is not None else ()
-            if keep_records:
-                lin = task.lineage
-                if out.own:
-                    ledger.emit(lin, 0, task.left, task.right)
-                for seq, (left, right) in enumerate(pairs, 1):
-                    ledger.emit(lin, seq, left, right)
-            else:
-                if out.own:
-                    emit(task.left, task.right)
-                if em is not None:
-                    # already in the sink's labels (see _compute_batch)
-                    if sink is not None:
-                        for left, right in pairs:
-                            sink(left, right)
-                    m = out.member
-                    counting.count += int(
-                        em.member_ptr[m + 1] - em.member_ptr[m]
-                    )
-        master.merge(out.counters)
-        return ExecOutcome(cycles=out.cycles)
-
-    def execute(task: SubtreeTask, _device_id: int) -> ExecOutcome:
-        if batch_limit:
-            out = batch_cache.pop(task.lineage, None)
-            if out is None and _batch_eligible(task):
-                _compute_batch(task, _device_id)
-                out = batch_cache.pop(task.lineage)
-            if out is not None:
-                return _consume_batched(task, out)
-        c = Counters()
-        base = 0.0
-        # A re-executed task (crash retry) re-produces its entire
-        # emission sequence; suppress all of it in one membership check
-        # (inlined mark_executed — this runs once per task).
-        if executed_set is not None:
-            lin = task.lineage
-            suppress = lin in executed_set
-            if not suppress:
-                executed_set.add(lin)
-        else:
-            suppress = False
-        if task.needs_check:
-            ok = gamma_matches(
-                g, task.left, len(task.right), c, universe=task.universe
-            )
-            if ok:
-                c.maximal += 1
-                if not suppress:
-                    if keep_records:
-                        ledger.emit(task.lineage, 0, task.left, task.right)
-                    else:
-                        emit(task.left, task.right)
-            else:
-                c.non_maximal += 1
-                master.merge(c)
-                return ExecOutcome(cycles=duration(c))
-            base = duration(c)
-        if _should_split(task, config):
-            children: list[tuple[float, SubtreeTask]] = []
-            elapsed = base
-            remaining = task.cands
-            remaining_counts = task.counts
-            left_mask = (
-                task.universe.mask_of_left_subset(task.left)
-                if task.universe is not None
-                else None
-            )
-            while len(remaining):
-                gen = Counters()
-                v_t = int(remaining[0])
-                exp = expand_node(
-                    g,
-                    counter,
-                    task.left,
-                    v_t,
-                    remaining,
-                    gen,
-                    universe=task.universe,
-                    left_mask=left_mask,
-                )
-                gen.nodes_generated += 1
-                child = SubtreeTask(
-                    left=exp.left,
-                    right=sets.union(task.right, exp.absorbed),
-                    cands=exp.new_candidates,
-                    counts=exp.new_counts,
-                    needs_check=True,
-                    universe=task.universe,
-                    lineage=task.lineage + (len(children),),
-                )
-                elapsed += duration(gen) + dev.local_queue_cycles
-                children.append((elapsed, child))
-                c.merge(gen)
-                if config.prune:
-                    # §4.2 applies at split nodes too: siblings whose
-                    # local neighborhood size is unchanged by this
-                    # child's L' can only yield non-maximal nodes.
-                    changed = exp.all_counts[1:] != remaining_counts[1:]
-                    c.pruned += int(len(changed) - np.count_nonzero(changed))
-                    remaining = remaining[1:][changed]
-                    remaining_counts = remaining_counts[1:][changed]
-                else:
-                    remaining = remaining[1:]
-                    remaining_counts = remaining_counts[1:]
-            master.merge(c)
-            if split_cycles is not None:
-                split_cycles[0] += elapsed - base
-            return ExecOutcome(cycles=elapsed, children=children)
-        if suppress:
-            run_task_with_node_buffer(
-                g, counter, task, _discard_sink, c, prune=config.prune
-            )
-        elif keep_records:
-            lin = task.lineage
-            seq = [1]  # 0 is the task's own node biclique
-
-            def task_sink(left: np.ndarray, right: np.ndarray) -> None:
-                ledger.emit(lin, seq[0], left, right)
-                seq[0] += 1
-
-            run_task_with_node_buffer(
-                g, counter, task, task_sink, c, prune=config.prune
-            )
-        else:
-            run_task_with_node_buffer(
-                g, counter, task, emit, c, prune=config.prune
-            )
-        master.merge(c)
-        return ExecOutcome(cycles=base + duration(c))
-
-    scheduler = PersistentThreadScheduler(
+    kernel.scheduler = scheduler = PersistentThreadScheduler(
         devices=[dev] * n_gpus,
-        units_per_sm=units_per_sm,
-        root_source=root_source(),
-        execute=execute,
+        units_per_sm=kernel.units_per_sm,
+        root_source=kernel.root_source(),
+        execute=kernel.execute,
         local_queue_capacity=local_queue_capacity,
         root_pull_surcharges=root_pull_surcharges,
         fault_plan=fault_plan,
@@ -841,54 +923,10 @@ def gmbe_gpu(
         lineage_of=operator.attrgetter("lineage") if robust else None,
         max_task_retries=config.max_task_retries,
         halt_after_tasks=halt_after_tasks,
-        initial_tasks=initial_tasks or None,
+        initial_tasks=kernel.initial_tasks or None,
+        on_task_done=kernel.on_task_done if writer is not None else None,
         collect_telemetry=telemetry is not None,
     )
-    sched_ref.append(scheduler)
-
-    writer = None
-    if checkpoint_path is not None:
-        writer = CheckpointWriter(checkpoint_path, every_tasks=checkpoint_every)
-
-        def build_snapshot(now_cycles: float) -> Snapshot:
-            tasks = [
-                TaskRecord(
-                    lineage=lineage,
-                    left=[int(x) for x in payload.left],
-                    right=[int(x) for x in payload.right],
-                    cands=[int(x) for x in payload.cands],
-                    counts=[int(x) for x in payload.counts],
-                    needs_check=payload.needs_check,
-                    retries=retries,
-                )
-                for lineage, payload, retries in scheduler.frontier()
-            ]
-            return Snapshot(
-                graph_fingerprint=graph.fingerprint,
-                config_signature=list(config.signature()),
-                device_name=dev.name,
-                n_gpus=n_gpus,
-                root_cursor=root_cursor[0],
-                n_roots=g.n_v,
-                tasks=tasks,
-                emissions=list(ledger.records),
-                executed=sorted(ledger.executed),
-                counters={
-                    name: int(value)
-                    for name, value in vars(master).items()
-                },
-                fault_plan=(
-                    fault_plan.state() if fault_plan is not None else None
-                ),
-                elapsed_cycles=base_elapsed + now_cycles,
-                tasks_executed=base_tasks_executed + scheduler.tasks_executed,
-                tasks_split=base_tasks_split + scheduler.tasks_split,
-            )
-
-        def on_task_done(tasks_done: int, now_cycles: float) -> None:
-            writer.maybe_write(tasks_done, lambda: build_snapshot(now_cycles))
-
-        scheduler.on_task_done = on_task_done
 
     with tracer.span(
         "sim.kernel",
@@ -902,51 +940,9 @@ def gmbe_gpu(
         if telemetry is not None:
             kernel_span.set_attr("tasks_executed", report.tasks_executed)
             kernel_span.set_attr("makespan_cycles", report.makespan_cycles)
-            kernel_span.set_attr("n_maximal", counting.count)
+            kernel_span.set_attr("n_maximal", ledger.count)
             _register_run_telemetry(
-                telemetry, tracer, report, master, dev, split_cycles[0],
-                batch_stats,
+                telemetry, tracer, report, kernel.master, dev,
+                kernel.split_cycles, kernel.batch_stats,
             )
-    if writer is not None:
-        if report.halted:
-            # Final frontier snapshot so a --resume picks up exactly here.
-            writer.write(build_snapshot(report.makespan_cycles))
-        else:
-            writer.finalize_success()
-    total_cycles = base_elapsed + report.makespan_cycles
-    sim_seconds = dev.cycles_to_seconds(total_cycles)
-    lane_util = (
-        master.set_op_work / (32.0 * master.simt_cycles)
-        if master.simt_cycles
-        else 0.0
-    )
-    extras = {
-        "report": report,
-        "device": dev,
-        "n_gpus": n_gpus,
-        "per_gpu_seconds": [
-            dev.cycles_to_seconds(t) for t in report.per_device_cycles
-        ],
-        "queue_stats": report.queue_stats,
-        "warp_efficiency": lane_util,
-        "units_per_sm": units_per_sm,
-        "set_backend_tasks": backend_tally,
-    }
-    if robust:
-        extras.update({
-            "fault_log": report.fault_log,
-            "tasks_requeued": report.tasks_requeued,
-            "tasks_lost": report.tasks_lost,
-            "halted": report.halted,
-            "resumed": snapshot is not None,
-            "checkpoint_writes": writer.writes if writer is not None else 0,
-            "tasks_executed_total": (
-                base_tasks_executed + report.tasks_executed
-            ),
-        })
-    return EnumerationResult(
-        n_maximal=counting.count,
-        counters=master,
-        sim_time=sim_seconds,
-        extras=extras,
-    )
+    return kernel.result(report, robust)

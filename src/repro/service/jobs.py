@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..api import validate_size_filters
+from ..api import validate_shards, validate_size_filters
 from ..gmbe import GMBEConfig
 from ..store import StoredResultSet
 
@@ -142,15 +142,7 @@ class Job:
                 f"priority must be an integer, got {self.priority!r}"
             )
         self.priority = int(self.priority)
-        if isinstance(self.shards, bool) or not isinstance(
-            self.shards, numbers.Integral
-        ):
-            raise ValueError(
-                f"shards must be a positive integer, got {self.shards!r}"
-            )
-        self.shards = int(self.shards)
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {self.shards}")
+        self.shards = validate_shards(self.shards)
         if self.shards > 1 and self.algorithm != "gmbe":
             raise ValueError(
                 f'shards > 1 is only supported by algorithm="gmbe", '

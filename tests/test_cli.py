@@ -208,3 +208,50 @@ class TestServe:
         message = str(exc.value.code)
         assert message.startswith(f"{jobs_path}:3: ")
         assert offending in message
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["run", "Mti", "--gpus", "0"], "--gpus 0"),
+            (["run", "Mti", "--warps-per-sm", "0"], "--warps-per-sm 0"),
+            (["run", "Mti", "--max-task-retries", "-1"],
+             "--max-task-retries -1"),
+            (["run", "Mti", "--fault-sm-crash", "2.0"],
+             "--fault-sm-crash 2.0"),
+            (["run", "Mti", "--checkpoint-every", "0", "--checkpoint", "{ck}"],
+             "--checkpoint-every 0"),
+            (["run", "Mti", "--shards", "0"], "--shards 0"),
+            (["run", "Mti", "--halt-after-tasks", "-1"],
+             "--halt-after-tasks -1"),
+            (["run", "Nope"], "'Nope'"),
+            (["serve", "--workers", "0"], "--workers 0"),
+            (["serve", "--queue-depth", "0"], "--queue-depth 0"),
+            (["serve", "--cache-mb", "-1"], "--cache-mb -1"),
+        ],
+    )
+    def test_bad_flag_exits_with_one_line_naming_it(
+        self, tmp_path, argv, named
+    ):
+        argv = [a.format(ck=tmp_path / "run.ckpt") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str)  # non-zero exit, printed to stderr
+        assert "\n" not in message
+        assert named in message
+
+    def test_halt_without_checkpoint_prints_no_resume_hint(
+        self, tmp_path, capsys
+    ):
+        assert main(["run", "Mti", "--halt-after-tasks", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "halted after 5 tasks" in out
+        assert "--resume" not in out
+        ckpt = tmp_path / "run.ckpt"
+        assert main(["run", "Mti", "--halt-after-tasks", "5",
+                     "--checkpoint", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoint written; use --resume to continue" in out
+        assert ckpt.exists()
