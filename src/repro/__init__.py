@@ -12,39 +12,21 @@ Public API tour:
 - :mod:`repro.datasets` — offline synthetic analogs of the paper's 12
   datasets;
 - :mod:`repro.bench` — drivers regenerating every table and figure.
+
+Package exports load on first access (see :mod:`repro._lazy`).
 """
 
-from .api import as_bipartite_graph, enumerate_maximal_bicliques
-from .core import (
-    Biclique,
-    BicliqueCollector,
-    BicliqueCounter,
-    EnumerationResult,
-    imbea,
-    mbea,
-    oombea,
-    parmbe,
-    pmbe,
-)
-from .graph import BipartiteGraph
-from .verify import VerificationReport, verify_enumeration
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Biclique",
-    "BicliqueCollector",
-    "BicliqueCounter",
-    "BipartiteGraph",
-    "VerificationReport",
-    "EnumerationResult",
-    "__version__",
-    "as_bipartite_graph",
-    "enumerate_maximal_bicliques",
-    "imbea",
-    "mbea",
-    "oombea",
-    "parmbe",
-    "pmbe",
-    "verify_enumeration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": "as_bipartite_graph enumerate_maximal_bicliques",
+    ".core": (
+        "Biclique BicliqueCollector BicliqueCounter EnumerationResult "
+        "imbea mbea oombea parmbe pmbe"
+    ),
+    ".graph": "BipartiteGraph",
+    ".verify": "VerificationReport verify_enumeration",
+})
+__all__ = sorted([*__all__, "__version__"])

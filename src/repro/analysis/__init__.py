@@ -1,23 +1,10 @@
 """Post-processing of biclique sets: statistics, greedy edge-cover
 selection, and overlap clustering."""
 
-from .cover import CoverResult, greedy_edge_cover
-from .overlap import OverlapComponents, jaccard, overlap_components
-from .stats import (
-    BicliqueSetStats,
-    edge_coverage,
-    participation_counts,
-    summarize,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BicliqueSetStats",
-    "CoverResult",
-    "OverlapComponents",
-    "edge_coverage",
-    "greedy_edge_cover",
-    "jaccard",
-    "overlap_components",
-    "participation_counts",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cover": "CoverResult greedy_edge_cover",
+    ".overlap": "OverlapComponents jaccard overlap_components",
+    ".stats": "BicliqueSetStats edge_coverage participation_counts summarize",
+})

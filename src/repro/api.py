@@ -175,9 +175,11 @@ def enumerate_maximal_bicliques(
         use :class:`~repro.sharding.ShardCoordinator` directly for
         per-shard fault injection.
     shard_pool:
-        ``"thread"`` (default) runs the shards on an in-process pool;
-        ``"process"`` runs each shard in a supervised spawned process
-        (heartbeats, crash restarts, quarantine — see DESIGN.md §12).
+        ``"thread"`` (default) runs the shards one after another in the
+        calling thread; ``"process"`` runs them on supervised worker
+        processes (heartbeats, crash restarts, quarantine), leasing the
+        process-wide warm pool so repeated calls skip spawn and import
+        (see DESIGN.md §12).
         Because this function promises the *complete* enumeration, a
         process-pool run that exhausts a shard's retry budget raises
         :class:`~repro.sharding.DegradedShardRun` carrying the partial

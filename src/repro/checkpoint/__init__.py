@@ -12,24 +12,12 @@ biclique emitted exactly once.
 See DESIGN.md §9 for the checkpoint format and its invariants.
 """
 
-from .snapshot import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    EmissionRecord,
-    Snapshot,
-    TaskRecord,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .writer import CheckpointWriter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_VERSION",
-    "CheckpointError",
-    "CheckpointWriter",
-    "EmissionRecord",
-    "Snapshot",
-    "TaskRecord",
-    "load_checkpoint",
-    "save_checkpoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".snapshot": (
+        "CHECKPOINT_VERSION CheckpointError EmissionRecord Snapshot "
+        "TaskRecord load_checkpoint save_checkpoint"
+    ),
+    ".writer": "CheckpointWriter",
+})

@@ -51,6 +51,7 @@ _EXPERIMENTS = (
 #: library parameter named by a ``ValueError`` -> the flag that sets it
 _FLAG_OF = {
     "n_gpus": "--gpus",
+    "max_trials": "--budget",
     "warps_per_sm": "--warps-per-sm",
     "max_task_retries": "--max-task-retries",
     "every_tasks": "--checkpoint-every",
@@ -150,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         default="thread",
         help="shard execution backend (--shards > 1 only): 'thread' runs "
-        "shards in-process; 'process' runs each shard in a supervised "
-        "spawned worker with heartbeats, crash restarts, and quarantine "
+        "shards one after another in-process; 'process' runs each shard "
+        "on a supervised warm worker process with heartbeats, crash "
+        "restarts, and quarantine "
         "— a degraded (partial) run prints its shard inventory and "
         "exits 1",
     )
@@ -974,11 +976,13 @@ def main(argv: list[str] | None = None) -> int:
         with _flag_errors(args):
             return _cmd_serve(args)
     if args.command == "faults":
-        return _cmd_faults(args)
+        with _flag_errors(args):
+            return _cmd_faults(args)
     if args.command == "flight":
         return _cmd_flight(args)
     if args.command == "tune":
-        return _cmd_tune(args)
+        with _flag_errors(args):
+            return _cmd_tune(args)
     if args.command == "figures":
         from .bench.figures import render_all
 

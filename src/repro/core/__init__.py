@@ -2,79 +2,32 @@
 the parallel CPU baseline (ParMBE), their shared enumeration engine, and
 the brute-force reference oracle."""
 
-from .batch import (
-    BatchEmissions,
-    BatchMember,
-    BatchStats,
-    batch_gamma_matches,
-    batch_intersect,
-    batch_popcount,
-    batch_subset_mask,
-    lane_state_bytes,
-    ragged_split,
-    ragged_stack,
-    run_batch,
-)
-from .bicliques import (
-    Biclique,
-    BicliqueCollector,
-    BicliqueCounter,
-    BicliqueSink,
-    BicliqueWriter,
-    Counters,
-    EnumerationResult,
-    verify_biclique,
-)
-from .bitset import BitsetUniverse, resolve_backend
-from .constrained import constrained_mbe
-from .engine import EngineOptions, run_engine, run_subtree
+from .._lazy import lazy_exports
+
+# Each algorithm shares its submodule's name, and importing a submodule
+# binds that name on the package, so these are bound eagerly.
 from .imbea import imbea
-from .localcount import LocalCounter, ragged_gather
-from .maximum import OBJECTIVES, maximum_biclique
 from .mbea import mbea
 from .oombea import oombea
 from .parmbe import parmbe
 from .pmbe import pmbe
-from .reference import maximal_biclique_count_reference, reference_mbe
-from .tasks import RootTask, build_root_task
 
-__all__ = [
-    "BatchEmissions",
-    "BatchMember",
-    "BatchStats",
-    "Biclique",
-    "BicliqueCollector",
-    "BitsetUniverse",
-    "batch_gamma_matches",
-    "batch_intersect",
-    "batch_popcount",
-    "batch_subset_mask",
-    "lane_state_bytes",
-    "ragged_split",
-    "ragged_stack",
-    "resolve_backend",
-    "run_batch",
-    "BicliqueCounter",
-    "BicliqueSink",
-    "BicliqueWriter",
-    "Counters",
-    "EngineOptions",
-    "EnumerationResult",
-    "LocalCounter",
-    "RootTask",
-    "build_root_task",
-    "constrained_mbe",
-    "imbea",
-    "OBJECTIVES",
-    "maximal_biclique_count_reference",
-    "maximum_biclique",
-    "mbea",
-    "oombea",
-    "parmbe",
-    "pmbe",
-    "ragged_gather",
-    "reference_mbe",
-    "run_engine",
-    "run_subtree",
-    "verify_biclique",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".batch": (
+        "BatchEmissions BatchMember BatchStats batch_gamma_matches "
+        "batch_intersect batch_popcount batch_subset_mask lane_state_bytes "
+        "ragged_split ragged_stack run_batch"
+    ),
+    ".bicliques": (
+        "Biclique BicliqueCollector BicliqueCounter BicliqueSink "
+        "BicliqueWriter Counters EnumerationResult verify_biclique"
+    ),
+    ".bitset": "BitsetUniverse resolve_backend",
+    ".constrained": "constrained_mbe",
+    ".engine": "EngineOptions run_engine run_subtree",
+    ".localcount": "LocalCounter ragged_gather",
+    ".maximum": "OBJECTIVES maximum_biclique",
+    ".reference": "maximal_biclique_count_reference reference_mbe",
+    ".tasks": "RootTask build_root_task",
+})
+__all__ = sorted([*__all__, "imbea", "mbea", "oombea", "parmbe", "pmbe"])

@@ -1,20 +1,8 @@
 """Offline synthetic analogs of the paper's 12 evaluation datasets."""
 
-from .paper_stats import PAPER_MAX_BICLIQUES, PAPER_TABLE1
-from .registry import (
-    DATASET_ORDER,
-    DATASETS,
-    LARGE_DATASETS,
-    DatasetSpec,
-    load,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DATASETS",
-    "DATASET_ORDER",
-    "DatasetSpec",
-    "LARGE_DATASETS",
-    "PAPER_MAX_BICLIQUES",
-    "PAPER_TABLE1",
-    "load",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".paper_stats": "PAPER_MAX_BICLIQUES PAPER_TABLE1",
+    ".registry": "DATASET_ORDER DATASETS LARGE_DATASETS DatasetSpec load",
+})

@@ -8,22 +8,12 @@
   multi-GPU scaling.
 """
 
-from .cluster import ClusterSpec, gmbe_cluster
-from .config import DEFAULT_CONFIG, GMBEConfig
-from .host import gmbe_host, run_task_with_node_buffer
-from .kernel import SubtreeTask, gmbe_gpu
-from .node_buffer import INF_DEPTH, NodeBuffer, PushOutcome
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSpec",
-    "DEFAULT_CONFIG",
-    "GMBEConfig",
-    "INF_DEPTH",
-    "NodeBuffer",
-    "PushOutcome",
-    "SubtreeTask",
-    "gmbe_cluster",
-    "gmbe_gpu",
-    "gmbe_host",
-    "run_task_with_node_buffer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cluster": "ClusterSpec gmbe_cluster",
+    ".config": "DEFAULT_CONFIG GMBEConfig",
+    ".host": "gmbe_host run_task_with_node_buffer",
+    ".kernel": "SubtreeTask gmbe_gpu",
+    ".node_buffer": "INF_DEPTH NodeBuffer PushOutcome",
+})

@@ -2,56 +2,21 @@
 the memory-demand model, two-level task queues, the persistent-thread
 scheduler, and active-SM timelines."""
 
-from .device import A100, DEVICE_PRESETS, RTX2080TI, V100, DeviceSpec
-from .faults import (
-    FAULT_KINDS,
-    FaultDecision,
-    FaultEvent,
-    FaultLog,
-    FaultPlan,
-    ReplayFaultPlan,
-    replay_plan,
-)
-from .extras import require_sim_extras
-from .memory import MemoryDemand, MemoryModel
-from .profiler import KernelProfile, profile_run
-from .trace import chrome_trace_events, write_chrome_trace
-from .queues import QueueStats, TwoLevelTaskQueue
-from .scheduler import (
-    ExecOutcome,
-    LineageEntry,
-    PersistentThreadScheduler,
-    SimReport,
-)
-from .timeline import BusyRecorder, active_sm_curve, active_units_curve
+from .._lazy import lazy_exports
 
-__all__ = [
-    "A100",
-    "BusyRecorder",
-    "DEVICE_PRESETS",
-    "DeviceSpec",
-    "ExecOutcome",
-    "FAULT_KINDS",
-    "FaultDecision",
-    "FaultEvent",
-    "FaultLog",
-    "FaultPlan",
-    "KernelProfile",
-    "LineageEntry",
-    "ReplayFaultPlan",
-    "replay_plan",
-    "MemoryDemand",
-    "MemoryModel",
-    "PersistentThreadScheduler",
-    "QueueStats",
-    "RTX2080TI",
-    "SimReport",
-    "TwoLevelTaskQueue",
-    "V100",
-    "active_sm_curve",
-    "active_units_curve",
-    "chrome_trace_events",
-    "profile_run",
-    "require_sim_extras",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".device": "A100 DEVICE_PRESETS RTX2080TI V100 DeviceSpec",
+    ".faults": (
+        "FAULT_KINDS FaultDecision FaultEvent FaultLog FaultPlan "
+        "ReplayFaultPlan replay_plan"
+    ),
+    ".extras": "require_sim_extras",
+    ".memory": "MemoryDemand MemoryModel",
+    ".profiler": "KernelProfile profile_run",
+    ".trace": "chrome_trace_events write_chrome_trace",
+    ".queues": "QueueStats TwoLevelTaskQueue",
+    ".scheduler": (
+        "ExecOutcome LineageEntry PersistentThreadScheduler SimReport"
+    ),
+    ".timeline": "BusyRecorder active_sm_curve active_units_curve",
+})

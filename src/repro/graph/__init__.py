@@ -1,72 +1,24 @@
 """Bipartite graph substrate: CSR graphs, IO, preprocessing, statistics,
 and synthetic generators."""
 
-from .bipartite import BipartiteGraph, EdgeListError
-from .cores import alpha_beta_core, core_subgraph
-from .generators import (
-    add_dense_block,
-    block_overlap_bipartite,
-    complete_bipartite,
-    crown_graph,
-    planted_bicliques,
-    power_law_bipartite,
-    random_bipartite,
-)
-from .interop import (
-    from_networkx,
-    from_scipy_sparse,
-    to_networkx,
-    to_scipy_sparse,
-)
-from .io import (
-    read_edge_list,
-    read_matrix_market,
-    reads_edge_list,
-    write_edge_list,
-    write_matrix_market,
-)
-from .preprocess import PreparedGraph, degree_ascending_order, prepare
-from .stats import (
-    GraphStats,
-    compute_stats,
-    max_degree_u,
-    max_degree_v,
-    max_two_hop_degree_u,
-    max_two_hop_degree_v,
-    two_hop_neighbors_u,
-    two_hop_neighbors_v,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BipartiteGraph",
-    "EdgeListError",
-    "add_dense_block",
-    "alpha_beta_core",
-    "core_subgraph",
-    "GraphStats",
-    "PreparedGraph",
-    "block_overlap_bipartite",
-    "complete_bipartite",
-    "compute_stats",
-    "crown_graph",
-    "degree_ascending_order",
-    "from_networkx",
-    "from_scipy_sparse",
-    "max_degree_u",
-    "max_degree_v",
-    "max_two_hop_degree_u",
-    "max_two_hop_degree_v",
-    "planted_bicliques",
-    "power_law_bipartite",
-    "prepare",
-    "random_bipartite",
-    "read_edge_list",
-    "read_matrix_market",
-    "reads_edge_list",
-    "to_networkx",
-    "to_scipy_sparse",
-    "two_hop_neighbors_u",
-    "two_hop_neighbors_v",
-    "write_edge_list",
-    "write_matrix_market",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bipartite": "BipartiteGraph EdgeListError",
+    ".cores": "alpha_beta_core core_subgraph",
+    ".generators": (
+        "add_dense_block block_overlap_bipartite complete_bipartite "
+        "crown_graph planted_bicliques power_law_bipartite random_bipartite"
+    ),
+    ".interop": "from_networkx from_scipy_sparse to_networkx to_scipy_sparse",
+    ".io": (
+        "read_edge_list read_matrix_market reads_edge_list write_edge_list "
+        "write_matrix_market"
+    ),
+    ".preprocess": "PreparedGraph degree_ascending_order prepare",
+    ".stats": (
+        "GraphStats compute_stats max_degree_u max_degree_v "
+        "max_two_hop_degree_u max_two_hop_degree_v two_hop_neighbors_u "
+        "two_hop_neighbors_v"
+    ),
+})

@@ -3,31 +3,15 @@ ParMBE timing, a real thread-pool runner for host-parallel execution, the
 persistent worker pool backing the enumeration service, and the supervised
 process pool backing crash-isolated shard execution."""
 
-from .pool import run_tasks_threaded
-from .procpool import (
-    PoolBrokenError,
-    ProcessWorkerPool,
-    RemoteTaskError,
-    Supervisor,
-    SupervisorPolicy,
-    WorkerCrashError,
-    WorkerHungError,
-    set_heartbeat_aux_provider,
-)
-from .simpool import PoolSchedule, schedule_tasks
-from .workers import WorkerPool
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PoolBrokenError",
-    "PoolSchedule",
-    "ProcessWorkerPool",
-    "RemoteTaskError",
-    "Supervisor",
-    "SupervisorPolicy",
-    "WorkerCrashError",
-    "WorkerHungError",
-    "WorkerPool",
-    "run_tasks_threaded",
-    "schedule_tasks",
-    "set_heartbeat_aux_provider",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".pool": "run_tasks_threaded",
+    ".procpool": (
+        "PoolBrokenError ProcessWorkerPool RemoteTaskError Supervisor "
+        "SupervisorPolicy WorkerCrashError WorkerHungError "
+        "set_heartbeat_aux_provider"
+    ),
+    ".simpool": "PoolSchedule schedule_tasks",
+    ".workers": "WorkerPool",
+})

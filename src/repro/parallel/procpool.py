@@ -170,6 +170,8 @@ class Supervisor:
     Events (``spawn``/``death``/``hang``/``restart``/``retire``/
     ``broken``) fan out to the optional ``on_event`` callback — the
     coordinator maps them onto ``supervisor.*`` telemetry counters.
+    ``on_event`` is a plain attribute: a pool shared across runs gets
+    each run's recorder installed for that run only.
     """
 
     def __init__(
@@ -181,7 +183,7 @@ class Supervisor:
     ) -> None:
         self.policy = policy
         self._clock = clock
-        self._on_event = on_event
+        self.on_event = on_event
         self._last_beat: dict[int, float] = {}
         self._task_started: dict[int, float] = {}
         self._restarts: dict[int, int] = {}
@@ -194,9 +196,10 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, **info) -> None:
-        if self._on_event is not None:
+        on_event = self.on_event
+        if on_event is not None:
             try:
-                self._on_event(kind, info)
+                on_event(kind, info)
             except Exception:
                 pass  # an observer must never take the supervisor down
 

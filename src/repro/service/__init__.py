@@ -9,34 +9,15 @@ updates, per-job :class:`ResiliencePolicy` (timeout / retry / cancel),
 :class:`ServiceClient` facade.  ``gmbe serve`` drives it from the CLI.
 """
 
-from .broker import AdmissionError, EnumerationBroker, default_runner
-from .cache import CacheStats, ResultCache, graph_fingerprint
-from .client import ServiceClient
-from .jobs import Job, JobResult, JobStatus, SERVICE_ALGORITHMS
-from .metrics import Histogram, ServiceMetrics
-from .resilience import (
-    ExecutionOutcome,
-    JobTimeoutError,
-    ResiliencePolicy,
-    execute_with_retry,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "CacheStats",
-    "EnumerationBroker",
-    "ExecutionOutcome",
-    "Histogram",
-    "Job",
-    "JobResult",
-    "JobStatus",
-    "JobTimeoutError",
-    "ResiliencePolicy",
-    "ResultCache",
-    "SERVICE_ALGORITHMS",
-    "ServiceClient",
-    "ServiceMetrics",
-    "default_runner",
-    "execute_with_retry",
-    "graph_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".broker": "AdmissionError EnumerationBroker default_runner",
+    ".cache": "CacheStats ResultCache graph_fingerprint",
+    ".client": "ServiceClient",
+    ".jobs": "Job JobResult JobStatus SERVICE_ALGORITHMS",
+    ".metrics": "Histogram ServiceMetrics",
+    ".resilience": (
+        "ExecutionOutcome JobTimeoutError ResiliencePolicy execute_with_retry"
+    ),
+})

@@ -3,38 +3,21 @@
 The subsystem splits one enumeration into N independent *shard-jobs* by
 partitioning root-task ownership (:class:`ShardPlan`), runs each shard
 as an ordinary kernel run restricted to its owned roots
-(:class:`ShardRunner`), and fans the shards over a worker pool and/or a
-simulated cluster, stream-merging the per-shard results into one
-duplicate-free ordered set (:class:`ShardCoordinator`).  DESIGN.md §11
+(:class:`ShardRunner`), and runs the shards in-process or on a warm
+worker-process pool, placed on dedicated or clustered simulated GPUs,
+stream-merging the per-shard results into one duplicate-free ordered
+set (:class:`ShardCoordinator`).  DESIGN.md §11
 has the architecture and the ownership/disjointness proof sketch.
 """
 
-from .coordinator import (
-    ShardCoordinator,
-    ShardMergeError,
-    ShardReport,
-    iter_merged,
-    merge_shard_results,
-    merge_shard_results_to_store,
-)
-from .degraded import DegradedShardRun, PartialResult, ResumeHandle
-from .plan import BALANCERS, ShardPlan, root_weights
-from .runner import ShardResult, ShardRunner, run_shard_task
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BALANCERS",
-    "DegradedShardRun",
-    "PartialResult",
-    "ResumeHandle",
-    "ShardCoordinator",
-    "ShardMergeError",
-    "ShardPlan",
-    "ShardReport",
-    "ShardResult",
-    "ShardRunner",
-    "iter_merged",
-    "merge_shard_results",
-    "merge_shard_results_to_store",
-    "root_weights",
-    "run_shard_task",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".coordinator": (
+        "ShardCoordinator ShardMergeError ShardReport iter_merged "
+        "merge_shard_results merge_shard_results_to_store"
+    ),
+    ".degraded": "DegradedShardRun PartialResult ResumeHandle",
+    ".plan": "BALANCERS ShardPlan root_weights",
+    ".runner": "ShardResult ShardRunner run_shard_task",
+})

@@ -1,10 +1,10 @@
 """Fan a graph too big for one device over N shard-jobs and merge.
 
 :class:`ShardCoordinator` is the orchestration layer of the sharding
-subsystem: build (or accept) a :class:`~repro.sharding.ShardPlan`,
-dispatch one :class:`~repro.sharding.ShardRunner` per shard over a
-:class:`~repro.parallel.WorkerPool`, and stream-merge the per-shard
-sorted result lists into one duplicate-free ordered set.
+subsystem: build (or accept) a :class:`~repro.sharding.ShardPlan`, run
+one :class:`~repro.sharding.ShardRunner` per shard — in-process one
+after another, or on supervised worker processes — and stream-merge
+the per-shard sorted result lists into one duplicate-free ordered set.
 
 Placement is simulated two ways:
 
@@ -30,11 +30,13 @@ kernel's emission ledger replays emitted bicliques from the snapshot).
 
 from __future__ import annotations
 
-import contextvars
+import atexit
 import heapq
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, CancelledError
 from concurrent.futures import wait as cf_wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -43,11 +45,10 @@ from ..gmbe.cluster import ClusterSpec
 from ..gmbe.config import GMBEConfig
 from ..gpusim.device import A100, DeviceSpec
 from ..graph.bipartite import BipartiteGraph
-from ..parallel import (
+from ..parallel.procpool import (
     PoolBrokenError,
     ProcessWorkerPool,
     SupervisorPolicy,
-    WorkerPool,
 )
 from ..telemetry import (
     NULL_TRACER,
@@ -56,7 +57,6 @@ from ..telemetry import (
     TraceContext,
     current_telemetry,
     reparent_records,
-    run_with_telemetry,
     write_flight_record,
 )
 from .degraded import PartialResult, ResumeHandle
@@ -113,6 +113,112 @@ def _register_supervisor_metrics(registry) -> None:
     """Pre-create the ``supervisor.*`` counters with their HELP text."""
     for name, description in _SUPERVISOR_DESCRIPTIONS.items():
         registry.counter(name, description=description)
+
+
+#: Seconds the shared shard pool stays warm without a lease before it
+#: shuts itself down.  Live spawn workers hold multiprocessing's
+#: resource-tracker pipe, so a pool that outlived its last caller would
+#: block a host that joins its children and stops the tracker.
+_SHARED_POOL_IDLE_S = 3.0
+
+
+class _SharedPool:
+    """One process-wide warm :class:`ProcessWorkerPool` for shard runs.
+
+    The paper's persistent kernel launches its workers once and keeps
+    them resident while they pull tasks (Alg. 4); this keeps shard
+    worker processes resident across calls the same way, so the API,
+    ``gmbe run --shards`` and the broker's default runner stop paying
+    spawn and import on every sharded call.
+
+    - **One holder at a time.** :meth:`acquire` never blocks: a caller
+      that finds the pool leased gets ``None`` and builds a private one.
+    - **Created on first lease**, replaced when broken or too small.
+    - **Idle shutdown** after :data:`_SHARED_POOL_IDLE_S` seconds
+      without a lease, and at interpreter exit.
+    """
+
+    def __init__(self) -> None:
+        #: guards the fields below; held only briefly, never while
+        #: spawning or shutting a pool down
+        self._lock = threading.Lock()
+        self._held = False
+        self._pool: ProcessWorkerPool | None = None
+        self._idle_timer: threading.Timer | None = None
+
+    def acquire(self, n_workers: int, on_event=None):
+        """Lease the pool as ``(pool, baseline)``, or None if it is
+        leased already.
+
+        ``baseline`` is the pool's supervision counters at the start of
+        the lease — empty for a pool built for it, which gets
+        ``on_event`` from its first spawn on.
+        """
+        with self._lock:
+            if self._held:
+                return None
+            self._held = True
+            if self._idle_timer is not None:
+                self._idle_timer.cancel()
+                self._idle_timer = None
+            pool = self._pool
+        try:
+            if pool is not None and (
+                pool.broken or pool.n_workers < n_workers
+            ):
+                pool.shutdown()
+                pool = None
+            if pool is None:
+                pool, baseline = ProcessWorkerPool(
+                    n_workers, on_event=on_event
+                ), {}
+            else:
+                baseline = pool.supervisor.summary()
+        except BaseException:
+            with self._lock:
+                self._pool = None
+            self.release()
+            raise
+        with self._lock:
+            self._pool = pool
+        return pool, baseline
+
+    def release(self) -> None:
+        """End the lease and arm the idle shutdown."""
+        with self._lock:
+            self._held = False
+            if self._pool is None:
+                return
+            timer = threading.Timer(
+                _SHARED_POOL_IDLE_S, lambda: self.close(timer)
+            )
+            timer.daemon = True
+            self._idle_timer = timer
+        timer.start()
+
+    def close(self, timer: threading.Timer | None = None) -> None:
+        """Shut the pool down unless it is leased.
+
+        ``timer`` is the idle timer that fired; a stale one (the pool
+        was leased again since it was armed) does nothing.
+        """
+        with self._lock:
+            if self._held or (
+                timer is not None and timer is not self._idle_timer
+            ):
+                return
+            pool, self._pool = self._pool, None
+            if self._idle_timer is not None:
+                self._idle_timer.cancel()
+                self._idle_timer = None
+        if pool is not None:
+            pool.shutdown()
+
+
+_SHARED_POOL = _SharedPool()
+atexit.register(_SHARED_POOL.close)
+# A forked child does not own the parent's workers: start it empty.
+os.register_at_fork(after_in_child=_SHARED_POOL.__init__)
 
 
 class ShardMergeError(RuntimeError):
@@ -226,20 +332,26 @@ class ShardCoordinator:
         cluster's GPUs (one GPU per shard, plus that GPU's
         counter-claim surcharge), serial per GPU.
     pool, n_workers:
-        Dispatch substrate.  ``pool`` is the string ``"thread"``
-        (default: a private :class:`WorkerPool`) or ``"process"`` (a
-        private supervised :class:`~repro.parallel.ProcessWorkerPool` —
-        real crash isolation and wall-clock parallelism), or an
-        external pool object of either kind to share; ``n_workers``
-        sizes a private pool.  Process-backed dispatch adds per-shard
+        Dispatch substrate.  ``"thread"`` (default) runs the shards
+        sequentially in the calling thread — the simulated makespan is
+        unchanged, since each shard models its own device.
+        ``"process"`` runs them on supervised worker processes (real
+        crash isolation and wall-clock parallelism): the process-wide
+        warm pool when it is free (see :class:`_SharedPool`), else a
+        private :class:`~repro.parallel.ProcessWorkerPool` — always a
+        private one with ``n_workers``, ``supervisor_policy`` or
+        ``chaos_kills``.  A :class:`~repro.parallel.ProcessWorkerPool`
+        object is used as given.  Process dispatch adds per-shard
         retry: a shard whose worker dies is resubmitted (resuming from
         its checkpoint when ``checkpoint_dir`` is set) up to
         ``max_shard_attempts`` times, then **quarantined** — and the
         run returns a :class:`~repro.sharding.PartialResult` instead of
         raising, with resume handles for the lost shards.
+        ``extras["pool_stats"]`` counts the supervision events of this
+        run only, not the lifetime of a shared pool.
     max_shard_attempts:
         Attempt budget per shard under process dispatch (>= 1); thread
-        dispatch keeps the historical fail-fast behavior.
+        dispatch fails fast.
     supervisor_policy:
         Heartbeat/deadline/restart knobs for a private process pool
         (see :class:`~repro.parallel.SupervisorPolicy`).
@@ -262,8 +374,8 @@ class ShardCoordinator:
         shard's ``sim.kernel``/``sim.phase.*``/fault records share the
         job's ``trace_id`` and ``job_id`` and sit under a per-shard
         span in the ``shard.job`` tree.  Thread dispatch gets this by
-        shipping the contextvars context into the pool; process
-        dispatch ships a picklable
+        running in the coordinator's own context; process dispatch
+        ships a picklable
         :class:`~repro.telemetry.TraceContext` into each worker, which
         records into a local buffering telemetry and returns picklable
         snapshots (incrementally on heartbeats, finally on the result)
@@ -289,7 +401,7 @@ class ShardCoordinator:
         device: DeviceSpec = A100,
         n_gpus_per_shard: int = 1,
         cluster: ClusterSpec | None = None,
-        pool: WorkerPool | ProcessWorkerPool | str | None = None,
+        pool: ProcessWorkerPool | str | None = None,
         n_workers: int | None = None,
         max_shard_attempts: int = 3,
         supervisor_policy: SupervisorPolicy | None = None,
@@ -309,18 +421,16 @@ class ShardCoordinator:
         self.device = device
         self.n_gpus_per_shard = n_gpus_per_shard
         self.cluster = cluster
-        if isinstance(pool, str):
-            if pool not in ("thread", "process"):
-                raise ValueError(
-                    f"pool must be 'thread', 'process', or a pool object, "
-                    f"got {pool!r}"
-                )
-            self._pool = None
-            self.pool_backend = pool
-        else:
+        if isinstance(pool, ProcessWorkerPool):
             self._pool = pool
-            self.pool_backend = (
-                "process" if isinstance(pool, ProcessWorkerPool) else "thread"
+            self.pool_backend = "process"
+        elif pool is None or pool in ("thread", "process"):
+            self._pool = None
+            self.pool_backend = pool or "thread"
+        else:
+            raise ValueError(
+                f"pool must be 'thread', 'process', or a "
+                f"ProcessWorkerPool, got {pool!r}"
             )
         self.n_workers = n_workers
         if max_shard_attempts < 1:
@@ -446,7 +556,7 @@ class ShardCoordinator:
 
             gpu_of, devices, surcharges, gpu_counts = self._placement()
             if self.pool_backend == "process":
-                results, attempts, quarantine, recorder = (
+                results, attempts, quarantine, recorder, pool_stats = (
                     self._dispatch_supervised(
                         plan, config, devices, surcharges, gpu_counts,
                         telemetry, tracer, job_span,
@@ -456,15 +566,30 @@ class ShardCoordinator:
                     return self._degrade(
                         plan, config, results, attempts, quarantine,
                         gpu_of, telemetry, tracer, job_span, recorder,
+                        pool_stats,
                     )
                 extra_dispatch = {
                     "shard_attempts": dict(attempts),
-                    "pool_stats": getattr(self, "_last_pool_stats", {}),
+                    "pool_stats": pool_stats,
                 }
             else:
-                results = self._dispatch_threaded(
-                    plan, config, devices, surcharges, gpu_counts, telemetry
-                )
+                # One after another in this thread, failing fast; each
+                # shard.run span nests under shard.job.
+                results = []
+                for i in range(self.n_shards):
+                    runner = ShardRunner(
+                        self.graph, plan, i, telemetry=telemetry,
+                        **self._shard_kwargs(
+                            i, config, devices, surcharges, gpu_counts
+                        ),
+                    )
+                    try:
+                        results.append(runner.run())
+                    except Exception as exc:
+                        exc.add_note(
+                            f"raised while running shard {i}/{self.n_shards}"
+                        )
+                        raise
                 extra_dispatch = {}
 
             with tracer.span("shard.merge") as merge_span:
@@ -505,59 +630,22 @@ class ShardCoordinator:
             },
         )
 
-    # ------------------------------------------------------------------
-    # Dispatch backends
-    # ------------------------------------------------------------------
-    def _dispatch_threaded(
-        self, plan, config, devices, surcharges, gpu_counts, telemetry
-    ) -> list[ShardResult]:
-        """Historical thread fan-out: fail-fast, shared interpreter."""
-        runners = [
-            ShardRunner(
-                self.graph,
-                plan,
-                i,
-                config=config,
-                device=devices[i],
-                n_gpus=gpu_counts[i],
-                root_pull_surcharge=surcharges[i],
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_every=self.checkpoint_every,
-                fault_plan=self.fault_plans.get(i),
-                halt_after_tasks=self.halt_after_tasks.get(i),
-                telemetry=telemetry,
-            )
-            for i in range(self.n_shards)
-        ]
-        pool = self._pool
-        own_pool = pool is None
-        if own_pool:
-            pool = WorkerPool(
-                self.n_workers or min(self.n_shards, 8),
-                thread_name_prefix="repro-shard",
-            )
-        try:
-            futures = []
-            for i, runner in enumerate(runners):
-                label = f"shard {i}/{self.n_shards}"
-                if telemetry is not None:
-                    # Ship a copy of the coordinator context across
-                    # the thread hop so shard.run spans nest under
-                    # shard.job (same pattern as broker dispatch).
-                    ctx = contextvars.copy_context()
-                    futures.append(pool.submit(
-                        ctx.run, run_with_telemetry, telemetry,
-                        runner.run, worker_label=label,
-                    ))
-                else:
-                    futures.append(
-                        pool.submit(runner.run, worker_label=label)
-                    )
-            return [f.result() for f in futures]
-        finally:
-            if own_pool:
-                pool.shutdown()
+    def _shard_kwargs(self, i, config, devices, surcharges, gpu_counts):
+        """Shard ``i``'s :class:`ShardRunner` keywords (telemetry aside)."""
+        return dict(
+            config=config,
+            device=devices[i],
+            n_gpus=gpu_counts[i],
+            root_pull_surcharge=surcharges[i],
+            checkpoint_dir=self.checkpoint_dir,
+            checkpoint_every=self.checkpoint_every,
+            fault_plan=self.fault_plans.get(i),
+            halt_after_tasks=self.halt_after_tasks.get(i),
+        )
 
+    # ------------------------------------------------------------------
+    # Process dispatch
+    # ------------------------------------------------------------------
     def _pool_event_recorder(self, telemetry, flight=None):
         """Map pool supervision events onto ``supervisor.*`` counters
         (and into the flight recorder's verdict log, when one exists)."""
@@ -587,12 +675,14 @@ class ShardCoordinator:
     ):
         """Process fan-out with per-shard retry and quarantine.
 
-        Returns ``(results, attempts, quarantine, recorder)`` where
-        ``results`` maps shard id → :class:`ShardResult` for every shard
-        that finished (as a list, shard-ordered), ``attempts`` counts
-        attempts per shard, ``quarantine`` maps the shards that
-        exhausted their budget to their last error string, and
-        ``recorder`` is the job's :class:`FlightRecorder` (or None).
+        Returns ``(results, attempts, quarantine, recorder, pool_stats)``
+        where ``results`` maps shard id → :class:`ShardResult` for every
+        shard that finished (as a list, shard-ordered), ``attempts``
+        counts attempts per shard, ``quarantine`` maps the shards that
+        exhausted their budget to their last error string, ``recorder``
+        is the job's :class:`FlightRecorder` (or None), and
+        ``pool_stats`` is the pool's supervision counters over this run
+        (see :meth:`_process_pool`) plus its per-worker detail.
 
         Telemetry: the coordinator opens one *detached* span per
         dispatched attempt — ``shard.run`` for the first, ``shard.retry``
@@ -614,15 +704,6 @@ class ShardCoordinator:
                 job_id=getattr(job_span, "job_id", None),
                 trace_id=getattr(job_span, "trace_id", None),
             )
-        pool = self._pool
-        own_pool = pool is None
-        if own_pool:
-            pool = ProcessWorkerPool(
-                self.n_workers
-                or min(self.n_shards, os.cpu_count() or 1, 8),
-                policy=self.supervisor_policy,
-                on_event=self._pool_event_recorder(telemetry, recorder),
-            )
         attempts = {i: 0 for i in range(self.n_shards)}
         quarantine: dict[int, str] = {}
         results: dict[int, ShardResult] = {}
@@ -641,25 +722,11 @@ class ShardCoordinator:
                 key = (payload.shard_id, payload.attempt)
                 flushes.setdefault(key, []).append(payload)
 
-        aux_installed = False
-        prev_aux = None
-        if capture and hasattr(pool, "on_aux"):
-            prev_aux = pool.on_aux
-            pool.on_aux = on_aux
-            aux_installed = True
-
         def submit(i: int, prior_error: str | None = None) -> None:
             attempts[i] += 1
             att = attempts[i]
-            kwargs = dict(
-                config=config,
-                device=devices[i],
-                n_gpus=gpu_counts[i],
-                root_pull_surcharge=surcharges[i],
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_every=self.checkpoint_every,
-                fault_plan=self.fault_plans.get(i),
-                halt_after_tasks=self.halt_after_tasks.get(i),
+            kwargs = self._shard_kwargs(
+                i, config, devices, surcharges, gpu_counts
             )
             chaos = self.chaos_kills.get(i)
             if chaos is not None and att <= chaos[0]:
@@ -688,7 +755,10 @@ class ShardCoordinator:
             )
             pending[future] = i
 
-        try:
+        with self._process_pool(
+            self._pool_event_recorder(telemetry, recorder),
+            on_aux if capture else None,
+        ) as (pool, baseline):
             for i in range(self.n_shards):
                 submit(i)
             while pending:
@@ -751,21 +821,57 @@ class ShardCoordinator:
                                  if isinstance(final, TelemetrySnapshot)
                                  else None),
                         )
-        finally:
-            if aux_installed:
-                pool.on_aux = prev_aux
-            if own_pool:
-                pool.shutdown()
-            self._last_pool_stats = (
-                pool.stats() if hasattr(pool, "stats") else {}
-            )
+            pool_stats = pool.stats()
+            for key, before in baseline.items():
+                pool_stats[key] -= before
         if capture or recorder is not None:
             self._fold_worker_telemetry(
                 telemetry, recorder, job_span, attempt_spans,
                 flushes, finals,
             )
         ordered = [results[i] for i in sorted(results)]
-        return ordered, attempts, quarantine, recorder
+        return ordered, attempts, quarantine, recorder, pool_stats
+
+    @contextmanager
+    def _process_pool(self, on_event, on_aux):
+        """Yield ``(pool, baseline)`` for one supervised dispatch.
+
+        The pool is the caller's, a lease on the shared warm pool, or a
+        private one built for this run and shut down after it.
+        ``on_event``/``on_aux`` are installed for this run only.
+        ``baseline`` holds the pool's supervision counters from before
+        the run (empty for a pool built for it), so the caller can
+        report what happened during this run alone.
+        """
+        n_workers = self.n_workers or min(
+            self.n_shards, os.cpu_count() or 1, 8
+        )
+        lease = None
+        if (self._pool is None and self.n_workers is None
+                and self.supervisor_policy is None and not self.chaos_kills):
+            lease = _SHARED_POOL.acquire(n_workers, on_event)
+        own = self._pool is None and lease is None
+        if lease is not None:
+            pool, baseline = lease
+        elif own:
+            pool, baseline = ProcessWorkerPool(
+                n_workers, policy=self.supervisor_policy, on_event=on_event
+            ), {}
+        else:
+            pool, baseline = self._pool, self._pool.supervisor.summary()
+        prev = pool.supervisor.on_event, pool.on_aux
+        if on_event is not None:
+            pool.supervisor.on_event = on_event
+        if on_aux is not None:
+            pool.on_aux = on_aux
+        try:
+            yield pool, baseline
+        finally:
+            pool.supervisor.on_event, pool.on_aux = prev
+            if own:
+                pool.shutdown()
+            elif lease is not None:
+                _SHARED_POOL.release()
 
     def _fold_worker_telemetry(
         self, telemetry, recorder, job_span, attempt_spans, flushes,
@@ -829,7 +935,7 @@ class ShardCoordinator:
 
     def _degrade(
         self, plan, config, completed, attempts, quarantine,
-        gpu_of, telemetry, tracer, job_span, recorder=None,
+        gpu_of, telemetry, tracer, job_span, recorder, pool_stats,
     ) -> PartialResult:
         """Build the explicit partial outcome of a quarantined run.
 
@@ -877,7 +983,7 @@ class ShardCoordinator:
                 quarantined=sorted(quarantine),
                 shard_errors=dict(quarantine),
                 shard_attempts=dict(attempts),
-                pool_stats=getattr(self, "_last_pool_stats", {}),
+                pool_stats=pool_stats,
             )
             flight_extras["flight"] = flight
             if self.flight_dir is not None:
@@ -909,7 +1015,7 @@ class ShardCoordinator:
                 "config": config,
                 "shard_attempts": dict(attempts),
                 "shard_errors": dict(quarantine),
-                "pool_stats": getattr(self, "_last_pool_stats", {}),
+                "pool_stats": pool_stats,
                 **flight_extras,
             },
         )

@@ -21,32 +21,14 @@ that tree.  This package stores results as paths:
   checkpointed executed-lineage sets (:func:`pack_lineages`).
 """
 
-from .encode import (
-    DEFAULT_BLOCK_RECORDS,
-    Block,
-    PathDeltaEncoder,
-    count_records,
-    decode_blocks,
-)
-from .provenance import pack_lineages, unpack_lineages
-from .resultset import (
-    ResultStoreWriter,
-    StoredResultSet,
-    materialized_nbytes,
-)
-from .treebuf import ROOT, TreeBuffer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Block",
-    "DEFAULT_BLOCK_RECORDS",
-    "PathDeltaEncoder",
-    "ROOT",
-    "ResultStoreWriter",
-    "StoredResultSet",
-    "TreeBuffer",
-    "count_records",
-    "decode_blocks",
-    "materialized_nbytes",
-    "pack_lineages",
-    "unpack_lineages",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".encode": (
+        "DEFAULT_BLOCK_RECORDS Block PathDeltaEncoder count_records "
+        "decode_blocks"
+    ),
+    ".provenance": "pack_lineages unpack_lineages",
+    ".resultset": "ResultStoreWriter StoredResultSet materialized_nbytes",
+    ".treebuf": "ROOT TreeBuffer",
+})

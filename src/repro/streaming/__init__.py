@@ -1,7 +1,9 @@
 """Streaming substrate: dynamic bipartite graphs and incremental
 maintenance of the maximal biclique set under edge updates."""
 
-from .dynamic_graph import DynamicBipartiteGraph
-from .maintainer import BicliqueMaintainer
+from .._lazy import lazy_exports
 
-__all__ = ["BicliqueMaintainer", "DynamicBipartiteGraph"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".dynamic_graph": "DynamicBipartiteGraph",
+    ".maintainer": "BicliqueMaintainer",
+})

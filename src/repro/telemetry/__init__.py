@@ -12,58 +12,22 @@ Fully bypassed when disabled: hot paths take a single ``is_enabled``
 ``benchmarks/bench_telemetry.py``.  See ``docs/observability.md``.
 """
 
-from .bridge import (
-    register_counters,
-    register_fault_log,
-    register_queue_stats,
-    register_sim_report,
-)
-from .flight import (
-    FlightRecorder,
-    build_span_tree,
-    format_flight_record,
-    load_flight_record,
-    write_flight_record,
-)
-from .hub import Telemetry, current_telemetry, run_with_telemetry, use_telemetry
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .remote import (
-    TelemetrySnapshot,
-    TraceContext,
-    WorkerTelemetry,
-    reparent_records,
-)
-from .sinks import CallbackSink, JSONLSink, RingSink
-from .tracing import NULL_TRACER, NullTracer, Span, Tracer, current_span
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CallbackSink",
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "JSONLSink",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "RingSink",
-    "Span",
-    "Telemetry",
-    "TelemetrySnapshot",
-    "TraceContext",
-    "Tracer",
-    "WorkerTelemetry",
-    "build_span_tree",
-    "current_span",
-    "current_telemetry",
-    "format_flight_record",
-    "load_flight_record",
-    "register_counters",
-    "register_fault_log",
-    "register_queue_stats",
-    "register_sim_report",
-    "reparent_records",
-    "run_with_telemetry",
-    "use_telemetry",
-    "write_flight_record",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bridge": (
+        "register_counters register_fault_log register_queue_stats "
+        "register_sim_report"
+    ),
+    ".flight": (
+        "FlightRecorder build_span_tree format_flight_record "
+        "load_flight_record write_flight_record"
+    ),
+    ".hub": "Telemetry current_telemetry run_with_telemetry use_telemetry",
+    ".metrics": "Counter Gauge Histogram MetricsRegistry",
+    ".remote": (
+        "TelemetrySnapshot TraceContext WorkerTelemetry reparent_records"
+    ),
+    ".sinks": "CallbackSink JSONLSink RingSink",
+    ".tracing": "NULL_TRACER NullTracer Span Tracer current_span",
+})

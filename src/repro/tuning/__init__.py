@@ -26,37 +26,15 @@ enumerates the bit-identical maximal-biclique set (the hypothesis
 property suite asserts this).  See ``docs/tuning.md``.
 """
 
-from .features import GraphFeatures, compute_features
-from .search import EvalOutcome, SuccessiveHalving, Trial, TuneBudget
-from .space import Dimension, SearchSpace, default_space
-from .store import (
-    TUNER_VERSION,
-    TunedConfig,
-    TunedConfigStore,
-    TuningStoreError,
-    default_store,
-    device_key,
-    store_key,
-)
-from .tuner import resolve_config, tune
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Dimension",
-    "EvalOutcome",
-    "GraphFeatures",
-    "SearchSpace",
-    "SuccessiveHalving",
-    "TUNER_VERSION",
-    "Trial",
-    "TuneBudget",
-    "TunedConfig",
-    "TunedConfigStore",
-    "TuningStoreError",
-    "compute_features",
-    "default_space",
-    "default_store",
-    "device_key",
-    "resolve_config",
-    "store_key",
-    "tune",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".features": "GraphFeatures compute_features",
+    ".search": "EvalOutcome SuccessiveHalving Trial TuneBudget",
+    ".space": "Dimension SearchSpace default_space",
+    ".store": (
+        "TUNER_VERSION TunedConfig TunedConfigStore TuningStoreError "
+        "default_store device_key store_key"
+    ),
+    ".tuner": "resolve_config tune",
+})

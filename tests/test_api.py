@@ -1,6 +1,11 @@
 """Tests for the high-level convenience API."""
 
+import importlib
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -148,3 +153,58 @@ class TestSizeFilterValidation:
         assert enumerate_maximal_bicliques(
             MATRIX, min_left=0, min_right=0
         ) == enumerate_maximal_bicliques(MATRIX)
+
+
+PACKAGES = [
+    "repro", "repro.analysis", "repro.bench", "repro.checkpoint",
+    "repro.core", "repro.datasets", "repro.gmbe", "repro.gpusim",
+    "repro.graph", "repro.parallel", "repro.service", "repro.sharding",
+    "repro.store", "repro.streaming", "repro.telemetry", "repro.tuning",
+]
+
+
+class TestPackageExports:
+    """Package inits load their exports on first access (PEP 562)."""
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_public_name_imports(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            scope = {}
+            exec(f"from {package} import {name}", scope)
+            assert scope[name] is getattr(module, name)
+            assert name in dir(module)
+
+    def test_algorithms_resolve_to_functions_not_submodules(self):
+        import repro.core.mbea  # binds the submodule name on the package
+        from repro import mbea
+        from repro.core import mbea as core_mbea
+
+        assert callable(mbea) and mbea is core_mbea
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+
+    def test_shard_worker_import_stays_light(self):
+        """A spawned shard worker imports the runner, not the API."""
+        code = (
+            "import sys, repro.sharding.runner\n"
+            "print(sorted(m for m in ('repro.api', 'repro.service', "
+            "'repro.sharding.coordinator', 'repro.tuning') "
+            "if m in sys.modules))"
+        )
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -229,12 +229,23 @@ class TestFlagValidation:
             (["serve", "--workers", "0"], "--workers 0"),
             (["serve", "--queue-depth", "0"], "--queue-depth 0"),
             (["serve", "--cache-mb", "-1"], "--cache-mb -1"),
+            (["tune", "Mti", "--no-store", "--budget", "0"], "--budget 0"),
+            (["tune", "Mti", "--no-store", "--gpus", "0"], "--gpus 0"),
+            (["faults", "replay", "Mti", "{log}", "--gpus", "0"], "--gpus 0"),
+            (["faults", "replay", "Mti", "{log}", "--warps-per-sm", "0"],
+             "--warps-per-sm 0"),
+            (["faults", "replay", "Mti", "{log}", "--max-task-retries", "-1"],
+             "--max-task-retries -1"),
         ],
     )
     def test_bad_flag_exits_with_one_line_naming_it(
         self, tmp_path, argv, named
     ):
-        argv = [a.format(ck=tmp_path / "run.ckpt") for a in argv]
+        from repro.gpusim.faults import FaultLog
+
+        log = tmp_path / "faults.json"
+        FaultLog().save(log)
+        argv = [a.format(ck=tmp_path / "run.ckpt", log=log) for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         message = exc.value.code
