@@ -64,6 +64,8 @@ _FLAG_OF = {
     "n_workers": "--workers",
     "queue_depth": "--queue-depth",
     "max_bytes": "--cache-mb",
+    "scale": "--scale",
+    "codes": "--codes",
 }
 
 
@@ -83,8 +85,11 @@ def _flag_errors(args):
         dest = flag and flag[2:].replace("-", "_")
         if dest is None or not hasattr(args, dest):
             raise
+        value = getattr(args, dest)
+        if isinstance(value, list):  # nargs flags, e.g. --codes
+            value = " ".join(map(str, value))
         raise SystemExit(
-            f"gmbe {args.command}: invalid {flag} {getattr(args, dest)}: {exc}"
+            f"gmbe {args.command}: invalid {flag} {value}: {exc}"
         ) from None
 
 
@@ -223,8 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("experiment", choices=_EXPERIMENTS)
     p_bench.add_argument("--scale", type=float, default=None,
                          help="dataset scale factor (default per experiment)")
-    p_bench.add_argument("--codes", nargs="*", default=None,
-                         help="dataset codes (default: the experiment's own)")
+    p_bench.add_argument("--codes", nargs="*", default=None, metavar="CODE",
+                         help="dataset codes, from: "
+                         f"{' '.join(DATASET_ORDER)} "
+                         "(default: the experiment's own)")
     p_bench.add_argument("--report", default=None,
                          help="with 'all': write the combined report here")
 
@@ -791,6 +798,16 @@ def _cmd_tune(args) -> int:
 def _cmd_bench(args) -> int:
     from . import bench
 
+    if args.scale is not None and not 0 < args.scale < float("inf"):
+        raise ValueError(
+            f"scale must be positive and finite, got {args.scale}"
+        )
+    unknown = [c for c in args.codes or () if c not in DATASETS]
+    if unknown:
+        raise ValueError(
+            f"codes must be dataset codes ({', '.join(DATASET_ORDER)}), "
+            f"got {unknown[0]!r}"
+        )
     if args.experiment == "all":
         text = bench.generate_report(scale=args.scale, progress=print)
         if args.report:
@@ -971,7 +988,8 @@ def main(argv: list[str] | None = None) -> int:
         with _flag_errors(args):
             return _cmd_run(args)
     if args.command == "bench":
-        return _cmd_bench(args)
+        with _flag_errors(args):
+            return _cmd_bench(args)
     if args.command == "serve":
         with _flag_errors(args):
             return _cmd_serve(args)

@@ -19,12 +19,12 @@ Execution modes:
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..graph.bipartite import BipartiteGraph
 from ..graph.preprocess import prepare
-from ..parallel.pool import run_tasks_threaded
 from ..parallel.simpool import schedule_tasks
 from .bicliques import BicliqueCounter, BicliqueSink, Counters, EnumerationResult
 from .engine import EngineOptions, run_subtree
@@ -55,10 +55,12 @@ def parmbe(
     mode:
         ``"serial"`` or ``"threads"`` (real concurrency; identical output).
     n_threads:
-        Pool width when ``mode == "threads"``.
+        Pool width when ``mode == "threads"`` (at least 1).
     """
     if mode not in ("serial", "threads"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "threads" and n_threads < 1:
+        raise ValueError(f"n_threads must be at least 1, got {n_threads}")
     prepared = prepare(graph, order="degree")
     g = prepared.graph
     counting = BicliqueCounter()
@@ -107,7 +109,8 @@ def parmbe(
     if mode == "serial":
         outcomes = [run_task(v) for v in vertices]
     else:
-        outcomes = run_tasks_threaded(run_task, vertices, n_workers=n_threads)
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            outcomes = list(pool.map(run_task, vertices))
 
     counters = Counters()
     costs: list[int] = []

@@ -1,12 +1,11 @@
 """Supervised spawn-based process pool: crash-isolated shard execution.
 
-:class:`~repro.parallel.WorkerPool` threads share one interpreter — a
-worker that segfaults, is OOM-killed, or wedges in native code takes
-the whole host process (and every other shard) with it, and the GIL
-caps wall-clock scaling at 1x.  :class:`ProcessWorkerPool` is the
-process-backed sibling with the same ``submit``/``drain``/``shutdown``
-surface: each worker is a ``spawn`` OS process that can die — or be
-``kill -9``-ed on purpose — without corrupting the pool.
+Worker threads share one interpreter — a worker that segfaults, is
+OOM-killed, or wedges in native code takes the whole host process (and
+every other shard) with it, and the GIL caps wall-clock scaling at 1x.
+:class:`ProcessWorkerPool` runs each worker as a ``spawn`` OS process
+behind a ``submit``/``drain``/``shutdown`` future surface; a worker can
+die — or be ``kill -9``-ed on purpose — without corrupting the pool.
 
 Supervision model (DESIGN.md §12):
 
@@ -423,12 +422,12 @@ class _Slot:
 class ProcessWorkerPool:
     """Supervised pool of ``spawn`` worker processes.
 
-    Drop-in for :class:`~repro.parallel.WorkerPool` where the submitted
-    functions and their arguments are picklable module-level callables:
-    same ``submit(fn, *args, worker_label=..., **kwargs)`` future
-    surface, same ``active``/``completed``/``outstanding`` accounting,
-    same ``drain``/``shutdown`` semantics — plus supervision (see the
-    module docstring for the crash/hang/restart model).
+    The submitted functions and their arguments must be picklable
+    module-level callables: ``submit(fn, *args, worker_label=...,
+    **kwargs)`` returns a future, ``active``/``completed``/
+    ``outstanding`` account for the work, ``drain``/``shutdown`` stop
+    it — plus supervision (see the module docstring for the
+    crash/hang/restart model).
     """
 
     def __init__(
@@ -472,7 +471,7 @@ class ProcessWorkerPool:
         self._monitor.start()
 
     # ------------------------------------------------------------------
-    # Public surface (WorkerPool-compatible)
+    # Public surface
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -487,7 +486,7 @@ class ProcessWorkerPool:
         ``fn`` and its arguments must pickle (module-level functions;
         no live telemetry/locks).  ``worker_label`` names the unit of
         work and is attached as a PEP 678 note to any crash or remote
-        error, mirroring :class:`~repro.parallel.WorkerPool`.
+        error.
         """
         future: Future = Future()
         with self._lock:
@@ -550,11 +549,12 @@ class ProcessWorkerPool:
     ) -> bool:
         """Stop the pool; True if every task finished before shutdown.
 
-        Same contract as :meth:`WorkerPool.shutdown`, with one process
-        upgrade: ``wait=False`` (or a blown ``drain_timeout``) does not
-        abandon running work — worker processes are killed and their
-        futures fail with :class:`PoolBrokenError`, so no caller is
-        ever left waiting on a future nothing will resolve.
+        ``drain_timeout`` waits up to that many seconds for outstanding
+        work; otherwise ``wait=True`` waits for all of it and
+        ``wait=False`` does not wait.  Work still running when the pool
+        stops is not abandoned: worker processes are killed and their
+        futures fail with :class:`PoolBrokenError`, so no caller is ever
+        left waiting on a future nothing will resolve.
         """
         if drain_timeout is not None:
             drained = self.drain(drain_timeout)

@@ -2,11 +2,12 @@
 
 The ROADMAP's serving stack over the one-shot API — an asyncio
 :class:`EnumerationBroker` (admission control, duplicate-query
-coalescing, priority dispatch onto a :class:`repro.parallel.WorkerPool`),
-a content-addressed :class:`ResultCache` invalidated by streaming edge
+coalescing, priority dispatch onto a worker thread pool, ``service.*``
+metrics in a :class:`repro.telemetry.MetricsRegistry`), a
+content-addressed :class:`ResultCache` invalidated by streaming edge
 updates, per-job :class:`ResiliencePolicy` (timeout / retry / cancel),
-:class:`ServiceMetrics` observability, and the synchronous
-:class:`ServiceClient` facade.  ``gmbe serve`` drives it from the CLI.
+and the synchronous :class:`ServiceClient` facade.  ``gmbe serve``
+drives it from the CLI.
 """
 
 from .._lazy import lazy_exports
@@ -16,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".cache": "CacheStats ResultCache graph_fingerprint",
     ".client": "ServiceClient",
     ".jobs": "Job JobResult JobStatus SERVICE_ALGORITHMS",
-    ".metrics": "Histogram ServiceMetrics",
     ".resilience": (
         "ExecutionOutcome JobTimeoutError ResiliencePolicy execute_with_retry"
     ),

@@ -34,23 +34,24 @@ import inspect
 import itertools
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..api import as_bipartite_graph, enumerate_maximal_bicliques
 from ..gmbe import GMBEConfig
 from ..graph import BipartiteGraph
-from ..parallel import WorkerPool
 from ..sharding import DegradedShardRun
 from ..store import StoredResultSet
 from ..streaming import DynamicBipartiteGraph
-from ..telemetry import NULL_TRACER, Telemetry, run_with_telemetry
+from ..telemetry import (
+    NULL_TRACER, MetricsRegistry, Telemetry, run_with_telemetry,
+)
 from ..telemetry.flight import FLIGHT_VERSION, write_flight_record
 from ..tuning import TunedConfigStore, TuningStoreError, device_key, tune
 from ..gpusim.device import A100
 from .cache import ResultCache
 from .jobs import Job, JobResult, JobStatus
-from .metrics import ServiceMetrics
 from .resilience import ResiliencePolicy, execute_with_retry
 
 __all__ = ["AdmissionError", "EnumerationBroker", "default_runner"]
@@ -58,6 +59,54 @@ __all__ = ["AdmissionError", "EnumerationBroker", "default_runner"]
 
 class AdmissionError(RuntimeError):
     """The admission queue is full; the job was rejected, not queued."""
+
+
+#: ``# HELP`` text for every ``service.*`` counter and histogram the
+#: broker records (Prometheus export)
+_SERVICE_DESCRIPTIONS = {
+    "service.jobs.submitted": "jobs accepted past admission control",
+    "service.jobs.completed": "jobs that finished with a full result",
+    "service.jobs.degraded":
+        "sharded jobs that returned a partial result after quarantine",
+    "service.jobs.failed": "jobs that raised and exhausted retries",
+    "service.jobs.rejected": "submissions refused by admission control",
+    "service.jobs.timeouts": "jobs cancelled by their deadline",
+    "service.jobs.expired": "queued jobs whose TTL lapsed before dispatch",
+    "service.jobs.shed": "queued jobs dropped by load shedding",
+    "service.jobs.cancelled": "jobs cancelled by the client",
+    "service.jobs.retries": "job attempts re-dispatched after a failure",
+    "service.jobs.coalesced":
+        "submissions answered by piggybacking an identical in-flight job",
+    "service.jobs.resumed": "jobs resumed from a checkpoint",
+    "service.jobs.sharded": "jobs dispatched through the shard coordinator",
+    "service.shard.auto_suppressed":
+        "auto-sharding decisions suppressed by the shard circuit breaker",
+    "service.shard.breaker_opened": "shard circuit breaker open transitions",
+    "service.cache.hits": "result-cache hits",
+    "service.cache.misses": "result-cache misses",
+    "service.tuning.hits": "tuned-config store hits at dispatch",
+    "service.tuning.misses": "tuned-config store misses at dispatch",
+    "service.tuning.started": "background auto-tune runs started",
+    "service.latency_ms": "end-to-end latency of jobs that ran on a worker",
+    "service.cache.hit_latency_ms":
+        "latency of jobs answered straight from the result cache",
+    "service.queue.depth": "queue depth observed at each admission",
+}
+
+#: the entries of ``_SERVICE_DESCRIPTIONS`` that are histograms
+_SERVICE_HISTOGRAMS = (
+    "service.latency_ms",
+    "service.cache.hit_latency_ms",
+    "service.queue.depth",
+)
+
+
+def _register_service_metrics(registry: MetricsRegistry) -> None:
+    """Pre-create the ``service.*`` instruments with their HELP text."""
+    for name, description in _SERVICE_DESCRIPTIONS.items():
+        make = (registry.histogram if name in _SERVICE_HISTOGRAMS
+                else registry.counter)
+        make(name, description=description)
 
 
 def default_runner(
@@ -84,33 +133,21 @@ def default_runner(
     :class:`~repro.sharding.DegradedShardRun` — the broker maps it to
     the ``degraded`` job status.
     """
-    if shards > 1 and job.algorithm == "gmbe":
-        return enumerate_maximal_bicliques(
-            graph,
-            algorithm=job.algorithm,
-            min_left=job.min_left,
-            min_right=job.min_right,
-            config=config,
-            shards=shards,
-            checkpoint_path=checkpoint_path,
-            shard_pool=shard_pool,
-        )
-    if checkpoint_path is not None and job.algorithm == "gmbe":
-        return enumerate_maximal_bicliques(
-            graph,
-            algorithm=job.algorithm,
-            min_left=job.min_left,
-            min_right=job.min_right,
-            config=config,
-            checkpoint_path=checkpoint_path,
-            resume=os.path.exists(checkpoint_path),
-        )
+    kwargs: dict = {}
+    if job.algorithm == "gmbe":
+        if shards > 1:
+            kwargs.update(shards=shards, shard_pool=shard_pool,
+                          checkpoint_path=checkpoint_path)
+        elif checkpoint_path is not None:
+            kwargs.update(checkpoint_path=checkpoint_path,
+                          resume=os.path.exists(checkpoint_path))
     return enumerate_maximal_bicliques(
         graph,
         algorithm=job.algorithm,
         min_left=job.min_left,
         min_right=job.min_right,
         config=config,
+        **kwargs,
     )
 
 
@@ -167,7 +204,6 @@ class EnumerationBroker:
         queue_depth: int = 64,
         cache: ResultCache | None = None,
         policy: ResiliencePolicy | None = None,
-        metrics: ServiceMetrics | None = None,
         base_config: GMBEConfig | None = None,
         runner: Callable[[Job, BipartiteGraph, GMBEConfig], list] | None = None,
         checkpoint_dir: str | None = None,
@@ -230,12 +266,10 @@ class EnumerationBroker:
         self.telemetry = telemetry
         self.telemetry_flush_interval = telemetry_flush_interval
         self._tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
-        if metrics is not None:
-            self.metrics = metrics
-        else:
-            self.metrics = ServiceMetrics(
-                registry=telemetry.registry if telemetry is not None else None
-            )
+        self.registry = (
+            telemetry.registry if telemetry is not None else MetricsRegistry()
+        )
+        _register_service_metrics(self.registry)
         self.base_config = base_config or GMBEConfig()
         #: tuned-config store behind the ``Job(config="tuned")`` sentinel.
         #: ``None`` means the sentinel always resolves to ``base_config``.
@@ -288,7 +322,7 @@ class EnumerationBroker:
         self._jobs: dict[int, _Entry] = {}
         self._seq = itertools.count()
         self._queue: asyncio.PriorityQueue | None = None
-        self._pool: WorkerPool | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._dispatchers: list[asyncio.Task] = []
         self._flusher: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -301,7 +335,7 @@ class EnumerationBroker:
             raise RuntimeError("broker already started")
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.PriorityQueue(maxsize=self.queue_depth)
-        self._pool = WorkerPool(self.n_workers)
+        self._pool = ThreadPoolExecutor(self.n_workers)
         self._dispatchers = [
             asyncio.create_task(self._dispatch_loop(), name=f"dispatch-{i}")
             for i in range(self.n_workers)
@@ -322,12 +356,18 @@ class EnumerationBroker:
     def _observe_gauges(self) -> None:
         if self.telemetry is None:
             return
-        registry = self.telemetry.registry
-        registry.gauge("service.queue.size").set(self.queue_size)
-        registry.gauge("service.jobs.in_flight").set(self.in_flight)
-        registry.gauge("service.cache.bytes").set(
-            getattr(self.cache, "current_bytes", 0)
-        )
+        registry = self.registry
+        registry.gauge(
+            "service.queue.size", description="jobs waiting in the queue"
+        ).set(self.queue_size)
+        registry.gauge(
+            "service.jobs.in_flight",
+            description="distinct jobs queued or running",
+        ).set(self.in_flight)
+        registry.gauge(
+            "service.cache.bytes",
+            description="encoded bytes held by the result cache",
+        ).set(getattr(self.cache, "current_bytes", 0))
 
     async def stop(self) -> None:
         if self._flusher is not None:
@@ -342,7 +382,7 @@ class EnumerationBroker:
         # Resolve whatever never ran so no caller hangs forever.
         for entry in list(self._jobs.values()):
             if not entry.future.done():
-                self.metrics.cancelled += 1
+                self.registry.counter("service.jobs.cancelled").add(1)
                 entry.future.set_result(
                     self._result(entry, JobStatus.CANCELLED,
                                  error="broker stopped")
@@ -416,9 +456,9 @@ class EnumerationBroker:
         except TuningStoreError:
             entry = None
         if entry is not None:
-            self.metrics.tuned_hits += 1
+            self.registry.counter("service.tuning.hits").add(1)
             return entry.config
-        self.metrics.tuned_misses += 1
+        self.registry.counter("service.tuning.misses").add(1)
         self._maybe_tune_in_background(graph)
         return None
 
@@ -429,7 +469,7 @@ class EnumerationBroker:
         if fingerprint in self._tuning_inflight:
             return
         self._tuning_inflight.add(fingerprint)
-        self.metrics.tunes_started += 1
+        self.registry.counter("service.tuning.started").add(1)
         cf = self._pool.submit(
             tune,
             graph,
@@ -458,7 +498,7 @@ class EnumerationBroker:
             raise RuntimeError("broker is not started")
         loop = self._loop
         t0 = loop.time()
-        self.metrics.submitted += 1
+        self.registry.counter("service.jobs.submitted").add(1)
         job.id = next(self._seq)
         graph, tag = self._resolve_graph(job)
         tuned = self._resolve_tuned(graph) if job.wants_tuned else None
@@ -477,9 +517,11 @@ class EnumerationBroker:
             cached = self.cache.get(key)
             lookup_span.set_attr("hit", cached is not None)
         if cached is not None:
-            self.metrics.cache_hits += 1
+            self.registry.counter("service.cache.hits").add(1)
             latency = (loop.time() - t0) * 1e3
-            self.metrics.cache_hit_latency_ms.record(latency)
+            self.registry.histogram(
+                "service.cache.hit_latency_ms"
+            ).record(latency)
             fut = loop.create_future()
             fut.set_result(
                 JobResult(
@@ -492,11 +534,11 @@ class EnumerationBroker:
                 )
             )
             return fut
-        self.metrics.cache_misses += 1
+        self.registry.counter("service.cache.misses").add(1)
 
         primary = self._inflight.get(key)
         if primary is not None:
-            self.metrics.coalesced += 1
+            self.registry.counter("service.jobs.coalesced").add(1)
             waiter = loop.create_future()
             job_id = job.id
 
@@ -534,7 +576,7 @@ class EnumerationBroker:
             and graph.n_edges > self.auto_shard_over_edges
         ):
             if self._breaker_blocks(t0):
-                self.metrics.auto_shard_suppressed += 1
+                self.registry.counter("service.shard.auto_suppressed").add(1)
             else:
                 shards = self.auto_shard_count
         if shards > 1 and not self._runner_takes_shards:
@@ -553,14 +595,16 @@ class EnumerationBroker:
         try:
             self._queue.put_nowait((job.priority, next(self._seq), entry))
         except asyncio.QueueFull:
-            self.metrics.rejected += 1
+            self.registry.counter("service.jobs.rejected").add(1)
             raise AdmissionError(
                 f"admission queue full (depth {self.queue_depth}); "
                 f"job {job.id} rejected"
             ) from None
         self._inflight[key] = fut
         self._jobs[job.id] = entry
-        self.metrics.queue_depth.record(self._queue.qsize())
+        self.registry.histogram("service.queue.depth").record(
+            self._queue.qsize()
+        )
         return fut
 
     async def submit(self, job: Job) -> JobResult:
@@ -614,7 +658,7 @@ class EnumerationBroker:
                     self._loop.time() + self.breaker_cooldown
                 )
             self._breaker_probing = False
-            self.metrics.breaker_opened += 1
+            self.registry.counter("service.shard.breaker_opened").add(1)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -629,7 +673,7 @@ class EnumerationBroker:
                 raise
             except Exception as exc:  # defensive: never kill a dispatcher
                 if not entry.future.done():
-                    self.metrics.failed += 1
+                    self.registry.counter("service.jobs.failed").add(1)
                     entry.future.set_result(
                         self._result(
                             entry, JobStatus.FAILED,
@@ -659,15 +703,15 @@ class EnumerationBroker:
         assert self._loop is not None and self._pool is not None
         loop = self._loop
         if entry.cancelled:
-            self.metrics.cancelled += 1
+            self.registry.counter("service.jobs.cancelled").add(1)
             self._finish(entry, self._result(entry, JobStatus.CANCELLED,
                                              error="cancelled while queued"))
             return
         if entry.deadline_at is not None and loop.time() >= entry.deadline_at:
             # Shed at dequeue: a job whose deadline passed while queued
             # must never occupy a worker just to time out on it.
-            self.metrics.expired += 1
-            self.metrics.jobs_shed += 1
+            self.registry.counter("service.jobs.expired").add(1)
+            self.registry.counter("service.jobs.shed").add(1)
             self._finish(entry, self._result(entry, JobStatus.EXPIRED,
                                              error="deadline passed in queue"))
             return
@@ -691,9 +735,9 @@ class EnumerationBroker:
                     if os.path.isdir(ckpt_path) and any(
                         f.endswith(".ckpt") for f in os.listdir(ckpt_path)
                     ):
-                        self.metrics.resumed += 1
+                        self.registry.counter("service.jobs.resumed").add(1)
                 elif os.path.exists(ckpt_path):
-                    self.metrics.resumed += 1
+                    self.registry.counter("service.jobs.resumed").add(1)
                 kwargs["checkpoint_path"] = ckpt_path
             if traced:
                 # Ship a copy of the broker-side context (current span =
@@ -714,7 +758,7 @@ class EnumerationBroker:
             return asyncio.wrap_future(cf)
 
         if entry.shards > 1:
-            self.metrics.sharded += 1
+            self.registry.counter("service.jobs.sharded").add(1)
         with self._tracer.span(
             "broker.dispatch",
             job_id=entry.job.id,
@@ -738,15 +782,15 @@ class EnumerationBroker:
                     "quarantined",
                     sorted(outcome.exception.partial.quarantined),
                 )
-        self.metrics.retries += outcome.retries
+        self.registry.counter("service.jobs.retries").add(outcome.retries)
         if outcome.status == "completed":
             # The store is both the result and the cache entry: the byte
             # budget charges encoded size, and hits hand it out undecoded.
             store = StoredResultSet.from_bicliques(outcome.value)
             self.cache.put(entry.key, store, tag=entry.tag)
-            self.metrics.completed += 1
+            self.registry.counter("service.jobs.completed").add(1)
             latency = (loop.time() - entry.submitted_at) * 1e3
-            self.metrics.latency_ms.record(latency)
+            self.registry.histogram("service.latency_ms").record(latency)
             if entry.shards > 1:
                 self._note_shard_outcome(True)
             result = JobResult(
@@ -762,8 +806,11 @@ class EnumerationBroker:
             # did complete, plus the exact shard inventory — and never
             # cache it (a later submission must get the full set).
             partial = outcome.exception.partial
-            self.metrics.degraded += 1
-            opened_before = self.metrics.breaker_opened
+            self.registry.counter("service.jobs.degraded").add(1)
+            breaker_opened = self.registry.counter(
+                "service.shard.breaker_opened"
+            )
+            opened_before = breaker_opened.value
             self._note_shard_outcome(False)
             self._last_shard_pool_stats = dict(
                 partial.extras.get("pool_stats") or {}
@@ -771,12 +818,10 @@ class EnumerationBroker:
             self._record_flight(
                 entry, "degraded",
                 partial=partial,
-                breaker_opened_now=(
-                    self.metrics.breaker_opened > opened_before
-                ),
+                breaker_opened_now=breaker_opened.value > opened_before,
             )
             latency = (loop.time() - entry.submitted_at) * 1e3
-            self.metrics.latency_ms.record(latency)
+            self.registry.histogram("service.latency_ms").record(latency)
             job = entry.job
             result = JobResult(
                 job_id=job.id,
@@ -799,11 +844,11 @@ class EnumerationBroker:
                 "cancelled": JobStatus.CANCELLED,
             }.get(outcome.status, JobStatus.FAILED)
             if status == JobStatus.TIMEOUT:
-                self.metrics.timeouts += 1
+                self.registry.counter("service.jobs.timeouts").add(1)
             elif status == JobStatus.CANCELLED:
-                self.metrics.cancelled += 1
+                self.registry.counter("service.jobs.cancelled").add(1)
             else:
-                self.metrics.failed += 1
+                self.registry.counter("service.jobs.failed").add(1)
                 if "PoolBrokenError" in (outcome.error or ""):
                     # The shard pool died under the job: nothing partial
                     # to attach, but the black box (attempt count, error,
@@ -903,7 +948,7 @@ class EnumerationBroker:
             breaker_state = "half-open"
         else:
             breaker_state = "open"
-        m = self.metrics
+        count = self.registry.counter
         return {
             "running": self._queue is not None,
             "queue": {
@@ -912,10 +957,10 @@ class EnumerationBroker:
             },
             "jobs": {
                 "in_flight": self.in_flight,
-                "submitted": m.submitted,
-                "completed": m.completed,
-                "degraded": m.degraded,
-                "failed": m.failed,
+                "submitted": count("service.jobs.submitted").value,
+                "completed": count("service.jobs.completed").value,
+                "degraded": count("service.jobs.degraded").value,
+                "failed": count("service.jobs.failed").value,
             },
             "breaker": {
                 "state": breaker_state,

@@ -139,24 +139,22 @@ class ServiceClient:
         return self._broker
 
     @property
-    def metrics(self):
-        return self._broker.metrics
-
-    @property
     def telemetry(self):
         """The broker's :class:`~repro.telemetry.Telemetry`, or ``None``."""
         return self._broker.telemetry
 
     def metrics_snapshot(self) -> dict:
-        return self._broker.metrics.snapshot()
+        """The broker registry's dotted-name snapshot
+        (``{"service.jobs.submitted": 3, ...}``)."""
+        return self._broker.registry.snapshot()
 
     def telemetry_snapshot(self) -> dict:
         """Unified observability snapshot (JSON-serializable).
 
         ``metrics`` is the dotted-name registry dump and ``records`` the
         recent span/event records from the telemetry ring (empty when no
-        :class:`~repro.telemetry.Telemetry` is attached — the metrics
-        registry always exists because :class:`ServiceMetrics` owns one).
+        :class:`~repro.telemetry.Telemetry` is attached — the broker
+        always owns a metrics registry).
         """
         telemetry = self._broker.telemetry
         if telemetry is not None:
@@ -164,7 +162,7 @@ class ServiceClient:
             return telemetry.snapshot()
         return {
             "enabled": False,
-            "metrics": self._broker.metrics.registry.snapshot(),
+            "metrics": self._broker.registry.snapshot(),
             "records": [],
         }
 

@@ -217,10 +217,10 @@ def _note_page(n_items: int) -> None:
     reg = telemetry.registry
     reg.counter(
         "store.pages.served", description="cursor pages served"
-    ).inc()
+    ).add(1)
     reg.counter(
         "store.pages.items", description="bicliques returned via pages"
-    ).inc(n_items)
+    ).add(n_items)
 
 
 class ResultStoreWriter:
@@ -279,26 +279,26 @@ class ResultStoreWriter:
         reg = telemetry.registry
         reg.counter(
             "store.results.built", description="result stores finished"
-        ).inc()
+        ).add(1)
         reg.counter(
             "store.results.records", description="records written to stores"
-        ).inc(len(store))
+        ).add(len(store))
         reg.counter(
             "store.results.encoded_bytes",
             description="encoded payload bytes across finished stores",
-        ).inc(store.nbytes)
+        ).add(store.nbytes)
         reg.counter(
             "store.results.blocks", description="encoded blocks written"
-        ).inc(store.n_blocks)
+        ).add(store.n_blocks)
         stats = self._enc.tree.stats()
         reg.counter(
             "store.treebuf.nodes_added",
             description="tree-buffer nodes allocated while encoding",
-        ).inc(stats["added"])
+        ).add(stats["added"])
         reg.counter(
             "store.treebuf.nodes_reclaimed",
             description="tree-buffer nodes reclaimed by deactivation",
-        ).inc(stats["reclaimed"])
+        ).add(stats["reclaimed"])
         reg.gauge(
             "store.treebuf.peak_live",
             description="peak live tree-buffer nodes (O(history) bound)",

@@ -82,9 +82,7 @@ class Telemetry:
         :class:`~repro.telemetry.sinks.RingSink` so ``Telemetry()`` is
         immediately useful for snapshots and tests.
     registry:
-        Share an existing registry instead of creating one (e.g. the
-        registry a :class:`~repro.service.metrics.ServiceMetrics`
-        already populates).
+        Share an existing registry instead of creating one.
     """
 
     def __init__(

@@ -38,18 +38,14 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 #: contain digits and underscores but must start with a letter.
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 
-#: Quantiles exported for histograms (matches the old ServiceMetrics
-#: snapshot fields p50/p95/p99).
+#: Quantiles exported for histograms (the p50/p95/p99 of
+#: :meth:`Histogram.snapshot`).
 _QUANTILES = (("0.5", 50), ("0.95", 95), ("0.99", 99))
 
 
 class Counter:
-    """Monotonic-by-convention numeric instrument.
-
-    ``value`` is writable (the :class:`~repro.service.metrics.
-    ServiceMetrics` compatibility shim assigns through it); telemetry
-    producers should stick to :meth:`inc`/:meth:`add`.
-    """
+    """Monotonic-by-convention numeric instrument; producers count
+    through :meth:`add`."""
 
     __slots__ = ("name", "value", "description")
 
@@ -59,9 +55,6 @@ class Counter:
         self.name = name
         self.value: float = 0
         self.description = description
-
-    def inc(self, n: float = 1) -> None:
-        self.value += n
 
     def add(self, n: float) -> None:
         self.value += n
@@ -312,8 +305,8 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every instrument in place (test isolation).
 
-        Instrument *objects* survive — references held by layers (e.g.
-        ``ServiceMetrics.latency_ms``) stay valid.
+        Instrument *objects* survive, so references held by layers stay
+        valid.
         """
         for inst in self._instruments.values():
             inst.reset()

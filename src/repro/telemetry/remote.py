@@ -47,7 +47,6 @@ __all__ = [
     "TelemetrySnapshot",
     "TraceContext",
     "WorkerTelemetry",
-    "merge_metric_dumps",
     "reparent_records",
 ]
 
@@ -194,15 +193,3 @@ def reparent_records(
         out.append(r)
     return out
 
-
-def merge_metric_dumps(registry, dumps) -> None:
-    """Fold registry dumps into ``registry`` in the given order.
-
-    Thin alias over :meth:`MetricsRegistry.merge` that makes the
-    determinism contract explicit: callers sort ``dumps`` by
-    (shard, attempt) first, so counters/histograms/gauges land the same
-    way regardless of worker completion order.
-    """
-    for dump in dumps:
-        if dump:
-            registry.merge(dump)

@@ -197,10 +197,6 @@ def default_space(
             Dimension("set_backend", backends, backend_priors),
             Dimension("order", orders, order_priors),
             Dimension("scheduling", ("task", "warp"), (6.0, 1.0)),
-            # Cycle-neutral by design (DESIGN.md §10) — kept in the space
-            # so stores/sweeps cover it, with priors favoring "auto"
-            # since it only moves wall-clock, never the objective.
-            Dimension("batch_tasks", ("auto", "off"), (4.0, 1.0)),
         ),
         base=base,
     )

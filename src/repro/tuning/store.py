@@ -39,7 +39,7 @@ __all__ = [
 #: Bump on any change to the search algorithm, the search space, or the
 #: trial scoring that could move the incumbent: old entries are then
 #: unreachable (different content address) and re-tuned on demand.
-TUNER_VERSION = 2  # v2: batch_tasks joined the search space
+TUNER_VERSION = 3  # v3: cycle-neutral batch_tasks left the search space
 
 _KIND = "gmbe-tuned-config"
 

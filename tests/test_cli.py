@@ -177,10 +177,10 @@ class TestServe:
         assert rc == 0
         assert out.count("ok") >= 3
         snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["counters"]["submitted"] == 3
+        assert snapshot["service.jobs.submitted"] == 3
         # the duplicate either coalesced with its in-flight twin or hit
-        counters = snapshot["counters"]
-        assert counters["coalesced"] + counters["cache_hits"] >= 1
+        assert (snapshot["service.jobs.coalesced"]
+                + snapshot["service.cache.hits"]) >= 1
 
     def test_jobs_file_requires_graph_field(self, tmp_path):
         jobs_path = tmp_path / "jobs.jsonl"
@@ -236,6 +236,10 @@ class TestFlagValidation:
              "--warps-per-sm 0"),
             (["faults", "replay", "Mti", "{log}", "--max-task-retries", "-1"],
              "--max-task-retries -1"),
+            (["bench", "table1", "--codes", "Nope"], "--codes Nope"),
+            (["bench", "table1", "--codes", "TM", "Nope"], "'Nope'"),
+            (["bench", "table1", "--scale", "-1"], "--scale -1.0"),
+            (["bench", "table1", "--scale", "0"], "--scale 0.0"),
         ],
     )
     def test_bad_flag_exits_with_one_line_naming_it(

@@ -39,7 +39,6 @@ from repro.telemetry import (
     reparent_records,
     write_flight_record,
 )
-from repro.telemetry.remote import merge_metric_dumps
 
 #: split-friendly bounds so worker traces carry real task traffic
 CFG = GMBEConfig(bound_height=4, bound_size=32)
@@ -127,9 +126,8 @@ class TestMergeDeterminism:
         snaps = []
         for arrival in (arrival_a, arrival_b):
             reg = MetricsRegistry()
-            merge_metric_dumps(
-                reg, [keyed[k] for k in sorted(arrival)]
-            )
+            for key in sorted(arrival):
+                reg.merge(keyed[key])
             snaps.append(reg.snapshot())
         assert snaps[0] == snaps[1]
         assert snaps[0]["sim.tasks.executed"] == 35  # counters add
@@ -137,7 +135,8 @@ class TestMergeDeterminism:
 
     def test_merge_is_exact_for_counters_and_histograms(self):
         reg = MetricsRegistry()
-        merge_metric_dumps(reg, [self._dump(3, 1.0, [10, 20])] * 2)
+        for _ in range(2):
+            reg.merge(self._dump(3, 1.0, [10, 20]))
         snap = reg.snapshot()
         assert snap["sim.tasks.executed"] == 6
         assert snap["shard.owned_roots"]["count"] == 4
@@ -177,15 +176,18 @@ class TestSinkAndExposition:
         assert "# TYPE supervisor_worker_deaths counter" in text
 
     def test_service_metrics_carry_descriptions(self):
-        from repro.service.metrics import DESCRIPTIONS, ServiceMetrics
+        from repro.service.broker import (
+            _SERVICE_DESCRIPTIONS,
+            _register_service_metrics,
+        )
 
         reg = MetricsRegistry()
-        ServiceMetrics(reg)
+        _register_service_metrics(reg)
         text = reg.to_prometheus_text()
         assert "# HELP service_jobs_submitted" in text
         # every described service name that registered got its HELP line
         for name in ("service.jobs.completed", "service.latency_ms"):
-            assert name in DESCRIPTIONS
+            assert name in _SERVICE_DESCRIPTIONS
 
 
 # ----------------------------------------------------------------------

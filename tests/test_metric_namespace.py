@@ -37,7 +37,7 @@ def _literal_names() -> set[str]:
 
 def _table_names() -> set[str]:
     """Names registered through tables / f-strings the regex can't see."""
-    from repro.service.metrics import COUNTER_NAMES, HISTOGRAM_NAMES
+    from repro.service.broker import _SERVICE_DESCRIPTIONS
     from repro.sharding.coordinator import (
         _SUPERVISOR_COUNTERS,
         _SUPERVISOR_DESCRIPTIONS,
@@ -45,8 +45,7 @@ def _table_names() -> set[str]:
     from repro.telemetry.bridge import _COUNTER_FIELDS, _QUEUE_FIELDS
 
     names: set[str] = set()
-    names.update(COUNTER_NAMES.values())
-    names.update(HISTOGRAM_NAMES.values())
+    names.update(_SERVICE_DESCRIPTIONS)
     names.update(_SUPERVISOR_COUNTERS.values())
     names.update(_SUPERVISOR_DESCRIPTIONS)
     names.update(f"sim.work.{f}" for f in _COUNTER_FIELDS)

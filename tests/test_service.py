@@ -20,11 +20,9 @@ from repro import enumerate_maximal_bicliques
 from repro.core.bicliques import Biclique
 from repro.gmbe import GMBEConfig
 from repro.graph import BipartiteGraph, random_bipartite
-from repro.parallel import WorkerPool
 from repro.service import (
     AdmissionError,
     EnumerationBroker,
-    Histogram,
     Job,
     JobStatus,
     ResiliencePolicy,
@@ -36,6 +34,8 @@ from repro.service import (
 )
 from repro.store import StoredResultSet
 from repro.streaming import DynamicBipartiteGraph
+from repro.telemetry import Histogram, Telemetry
+from repro.telemetry.metrics import prometheus_name
 
 
 class Boom(RuntimeError):
@@ -45,6 +45,11 @@ class Boom(RuntimeError):
 MATRIX = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=np.int8)
 
 FAST_POLICY = ResiliencePolicy(timeout=30.0, max_attempts=3, backoff_base=0.001)
+
+
+def _count(broker, name: str):
+    """Current value of the broker's registry counter ``name``."""
+    return broker.registry.get(name).value
 
 
 def run_broker(coro_fn, **broker_kwargs):
@@ -334,14 +339,15 @@ class TestBrokerCaching:
         async def go(broker):
             a = await broker.submit(Job(graph=paper_graph, algorithm="oombea"))
             b = await broker.submit(Job(graph=paper_graph, algorithm="oombea"))
-            return a, b, broker.metrics
+            return a, b, broker.registry.snapshot()
 
-        a, b, metrics = run_broker(go, n_workers=1)
+        a, b, snap = run_broker(go, n_workers=1)
         assert not a.cache_hit and b.cache_hit
         assert a.bicliques == b.bicliques
         assert b.attempts == 0
-        assert metrics.cache_hits == 1 and metrics.cache_misses == 1
-        assert metrics.cache_hit_latency_ms.count == 1
+        assert snap["service.cache.hits"] == 1
+        assert snap["service.cache.misses"] == 1
+        assert snap["service.cache.hit_latency_ms"]["count"] == 1
 
     def test_different_filters_do_not_share_entries(self, paper_graph):
         async def go(broker):
@@ -393,15 +399,15 @@ class TestCoalescing:
             f3 = broker.submit_nowait(
                 Job(graph=paper_graph, algorithm="oombea", min_left=2)
             )
-            return await asyncio.gather(f1, f2, f3), broker.metrics
+            return await asyncio.gather(f1, f2, f3), broker.registry.snapshot()
 
-        (r1, r2, r3), metrics = run_broker(go, n_workers=2, runner=runner)
+        (r1, r2, r3), snap = run_broker(go, n_workers=2, runner=runner)
         assert calls["n"] == 2  # duplicate coalesced, distinct key ran
         assert r1.ok and r2.ok and r3.ok
         assert not r1.coalesced and r2.coalesced
         assert r1.bicliques == r2.bicliques
         assert r1.job_id != r2.job_id
-        assert metrics.coalesced == 1
+        assert snap["service.jobs.coalesced"] == 1
 
     def test_coalesced_waiters_see_the_failure(self, paper_graph):
         def runner(job, graph, config):
@@ -442,14 +448,15 @@ class TestAdmission:
                         priority=1)
                 )
             gate.release.set()
-            return await asyncio.gather(blocker, queued), broker.metrics
+            results = await asyncio.gather(blocker, queued)
+            return results, broker.registry.snapshot()
 
-        (r_block, r_queued), metrics = run_broker(
+        (r_block, r_queued), snap = run_broker(
             go, n_workers=1, queue_depth=1, runner=gate
         )
         assert r_block.ok and r_queued.ok
-        assert metrics.rejected == 1
-        assert metrics.submitted == 3
+        assert snap["service.jobs.rejected"] == 1
+        assert snap["service.jobs.submitted"] == 3
 
     def test_broker_keeps_serving_after_rejection(self, paper_graph):
         gate = GatedRunner(block_priority=0)
@@ -513,15 +520,16 @@ class TestFaultTolerance:
             alive = await broker.submit(
                 Job(graph=tiny_path, algorithm="oombea")
             )
-            return dead, alive, broker.metrics
+            return dead, alive, broker.registry.snapshot()
 
-        dead, alive, metrics = run_broker(go, n_workers=1, runner=runner)
+        dead, alive, snap = run_broker(go, n_workers=1, runner=runner)
         assert dead.status == JobStatus.FAILED
         assert "Boom" in dead.error and "always dies" in dead.error
         assert dead.attempts == FAST_POLICY.max_attempts
         assert alive.ok  # the broker survived the poisoned job
-        assert metrics.failed == 1 and metrics.completed == 1
-        assert metrics.retries == FAST_POLICY.max_attempts - 1
+        assert snap["service.jobs.failed"] == 1
+        assert snap["service.jobs.completed"] == 1
+        assert snap["service.jobs.retries"] == FAST_POLICY.max_attempts - 1
 
     def test_timeout_resolves_without_blocking_broker(self, paper_graph):
         def runner(job, graph, config):
@@ -531,15 +539,15 @@ class TestFaultTolerance:
         async def go(broker):
             t0 = time.perf_counter()
             res = await broker.submit(Job(graph=paper_graph, algorithm="oombea"))
-            return res, time.perf_counter() - t0, broker.metrics
+            return res, time.perf_counter() - t0, broker.registry.snapshot()
 
         policy = ResiliencePolicy(timeout=0.05, max_attempts=1)
-        res, elapsed, metrics = run_broker(
+        res, elapsed, snap = run_broker(
             go, n_workers=1, runner=runner, policy=policy
         )
         assert res.status == JobStatus.TIMEOUT
         assert elapsed < 0.4  # resolved well before the worker finished
-        assert metrics.timeouts == 1
+        assert snap["service.jobs.timeouts"] == 1
 
     def test_cancel_queued_job(self, paper_graph):
         gate = GatedRunner(block_priority=0)
@@ -555,12 +563,13 @@ class TestFaultTolerance:
             assert broker.cancel(target.id)
             assert not broker.cancel(999999)
             gate.release.set()
-            return await asyncio.gather(blocker, fut), broker.metrics
+            results = await asyncio.gather(blocker, fut)
+            return results, broker.registry.snapshot()
 
-        (r_block, r_cancel), metrics = run_broker(go, n_workers=1, runner=gate)
+        (r_block, r_cancel), snap = run_broker(go, n_workers=1, runner=gate)
         assert r_block.ok
         assert r_cancel.status == JobStatus.CANCELLED
-        assert metrics.cancelled == 1
+        assert snap["service.jobs.cancelled"] == 1
         assert gate.order == [1]  # the cancelled job never ran
 
     def test_deadline_expires_in_queue(self, paper_graph):
@@ -577,12 +586,13 @@ class TestFaultTolerance:
             )
             await asyncio.sleep(0.1)
             gate.release.set()
-            return await asyncio.gather(blocker, fut), broker.metrics
+            results = await asyncio.gather(blocker, fut)
+            return results, broker.registry.snapshot()
 
-        (r_block, r_dead), metrics = run_broker(go, n_workers=1, runner=gate)
+        (r_block, r_dead), snap = run_broker(go, n_workers=1, runner=gate)
         assert r_block.ok
         assert r_dead.status == JobStatus.EXPIRED
-        assert metrics.expired == 1
+        assert snap["service.jobs.expired"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -612,9 +622,9 @@ class TestBrokerCheckpointResume:
             result = await broker.submit(
                 Job(graph=paper_graph, algorithm="gmbe")
             )
-            return result, broker.metrics
+            return result, broker.registry.snapshot()
 
-        result, metrics = run_broker(
+        result, snap = run_broker(
             go, n_workers=1, runner=runner, checkpoint_dir=str(tmp_path)
         )
         assert result.ok and result.attempts == 2
@@ -622,7 +632,7 @@ class TestBrokerCheckpointResume:
         assert len(seen) == 2 and seen[0] == seen[1]
         assert seen[0] is not None and seen[0].startswith(str(tmp_path))
         # the broker observed that the retry started from a checkpoint
-        assert metrics.resumed == 1
+        assert snap["service.jobs.resumed"] == 1
         assert list(result.bicliques) == direct
 
     def test_default_runner_resumes_real_enumeration(self, tmp_path):
@@ -647,12 +657,12 @@ class TestBrokerCheckpointResume:
 
         async def go(broker):
             result = await broker.submit(Job(graph=graph, algorithm="gmbe"))
-            return result, broker.metrics
+            return result, broker.registry.snapshot()
 
-        result, metrics = run_broker(
+        result, snap = run_broker(
             go, n_workers=1, runner=runner, checkpoint_dir=str(tmp_path)
         )
-        assert result.ok and metrics.resumed == 1
+        assert result.ok and snap["service.jobs.resumed"] == 1
         assert sorted(result.bicliques) == sorted(direct)
         assert len(result.bicliques) == len(set(result.bicliques))
 
@@ -666,12 +676,12 @@ class TestBrokerCheckpointResume:
             result = await broker.submit(
                 Job(graph=paper_graph, algorithm="oombea")
             )
-            return result, broker.metrics
+            return result, broker.registry.snapshot()
 
-        result, metrics = run_broker(
+        result, snap = run_broker(
             go, n_workers=1, runner=runner, checkpoint_dir=str(tmp_path)
         )
-        assert result.ok and metrics.resumed == 0
+        assert result.ok and snap["service.jobs.resumed"] == 0
 
     def test_no_checkpoint_dir_means_no_path(self, paper_graph):
         seen = []
@@ -923,34 +933,56 @@ class TestMetrics:
         async def go(broker):
             await broker.submit(Job(graph=paper_graph, algorithm="oombea"))
             await broker.submit(Job(graph=paper_graph, algorithm="oombea"))
-            return broker.metrics.to_json()
+            return broker.registry.to_json()
 
         text = run_broker(go, n_workers=1)
         data = json.loads(text)
-        assert data["counters"]["completed"] == 1
-        assert data["counters"]["cache_hits"] == 1
-        assert data["latency_ms"]["count"] == 1
+        assert data["service.jobs.completed"] == 1
+        assert data["service.cache.hits"] == 1
+        assert data["service.latency_ms"]["count"] == 1
 
+    def test_service_instruments_described_in_telemetry_registry(
+        self, paper_graph
+    ):
+        gate = GatedRunner(block_priority=0)
+        telemetry = Telemetry()
 
-# ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-class TestWorkerPool:
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)
+        async def go(broker):
+            assert broker.registry is telemetry.registry
+            cold = broker.submit_nowait(
+                Job(graph=paper_graph, algorithm="oombea", priority=0)
+            )
+            await asyncio.to_thread(gate.started.wait, 5)
+            queued = broker.submit_nowait(
+                Job(graph=paper_graph, algorithm="oombea", min_left=2,
+                    priority=1)
+            )
+            with pytest.raises(AdmissionError):
+                broker.submit_nowait(
+                    Job(graph=paper_graph, algorithm="oombea", min_left=3,
+                        priority=1)
+                )
+            gate.release.set()
+            await asyncio.gather(cold, queued)
+            hit = await broker.submit(
+                Job(graph=paper_graph, algorithm="oombea")
+            )
+            assert hit.cache_hit
 
-    def test_submit_and_error_isolation(self):
-        with WorkerPool(2) as pool:
-            ok = pool.submit(lambda: 42)
-            bad = pool.submit(lambda: (_ for _ in ()).throw(Boom("job fault")))
-            assert ok.result(timeout=5) == 42
-            with pytest.raises(Boom):
-                bad.result(timeout=5)
-            # the pool survives a raising job
-            assert pool.submit(lambda: "still alive").result(timeout=5)
-            assert pool.completed == 3
-            assert pool.active == 0
+        run_broker(go, n_workers=1, queue_depth=1, runner=gate,
+                   telemetry=telemetry)
+        registry = telemetry.registry
+        snap = registry.snapshot()
+        assert snap["service.jobs.submitted"] == 4
+        assert snap["service.jobs.completed"] == 2
+        assert snap["service.jobs.rejected"] == 1
+        assert snap["service.cache.hits"] == 1
+        assert snap["service.cache.hit_latency_ms"]["count"] == 1
+        text = registry.to_prometheus_text()
+        service = [n for n in registry.names() if n.startswith("service.")]
+        assert "service.queue.size" in service  # gauges set at stop
+        for name in service:
+            assert f"# HELP {prometheus_name(name)} " in text, name
 
 
 # ----------------------------------------------------------------------
@@ -979,7 +1011,7 @@ class TestServiceClient:
             )
             assert all(r.ok for r in results)
             snap = client.metrics_snapshot()
-            assert snap["counters"]["submitted"] == 3
+            assert snap["service.jobs.submitted"] == 3
         with pytest.raises(RuntimeError):
             client.submit(graph=paper_graph)  # closed client refuses work
 
@@ -1027,13 +1059,14 @@ class TestTunedConfigService:
 
         async def go(broker):
             res = await broker.submit(Job(graph=paper_graph, config="tuned"))
-            return res, broker.metrics
+            return res, broker.registry.snapshot()
 
-        res, metrics = run_broker(
+        res, snap = run_broker(
             go, n_workers=1, tuning_store=store, tune_on_miss=False
         )
         assert res.ok and res.count == 6
-        assert metrics.tuned_hits == 1 and metrics.tuned_misses == 0
+        assert snap["service.tuning.hits"] == 1
+        assert snap["service.tuning.misses"] == 0
 
     def test_miss_falls_back_and_tunes_in_background(self, paper_graph,
                                                      tmp_path):
@@ -1055,17 +1088,18 @@ class TestTunedConfigService:
             second = await broker.submit(
                 Job(graph=paper_graph, config="tuned")
             )
-            return first, second, broker.metrics
+            return first, second, broker.registry.snapshot()
 
-        first, second, metrics = run_broker(
+        first, second, snap = run_broker(
             go, n_workers=2, tuning_store=store,
             tune_on_miss=True, tune_budget=budget,
         )
         assert first.ok and second.ok
         assert list(first.bicliques) == list(second.bicliques)
         assert len(store) == 1
-        assert metrics.tuned_misses == 1 and metrics.tunes_started == 1
-        assert metrics.tuned_hits == 1
+        assert snap["service.tuning.misses"] == 1
+        assert snap["service.tuning.started"] == 1
+        assert snap["service.tuning.hits"] == 1
 
     def test_no_background_tune_when_disabled(self, paper_graph, tmp_path):
         from repro.tuning import TunedConfigStore
@@ -1075,13 +1109,13 @@ class TestTunedConfigService:
         async def go(broker):
             res = await broker.submit(Job(graph=paper_graph, config="tuned"))
             await asyncio.sleep(0.1)
-            return res, broker.metrics
+            return res, broker.registry.snapshot()
 
-        res, metrics = run_broker(
+        res, snap = run_broker(
             go, n_workers=1, tuning_store=store, tune_on_miss=False
         )
         assert res.ok
-        assert metrics.tunes_started == 0 and len(store) == 0
+        assert snap["service.tuning.started"] == 0 and len(store) == 0
 
     def test_cache_keys_use_resolved_config_not_sentinel(self, paper_graph,
                                                          tmp_path):
@@ -1133,13 +1167,13 @@ class TestTunedConfigService:
 
         async def go(broker):
             res = await broker.submit(Job(graph=paper_graph, config="tuned"))
-            return res, broker.metrics
+            return res, broker.registry.snapshot()
 
-        res, metrics = run_broker(
+        res, snap = run_broker(
             go, n_workers=1, tuning_store=store, tune_on_miss=False
         )
         assert res.ok and res.count == 6
-        assert metrics.tuned_misses == 1
+        assert snap["service.tuning.misses"] == 1
 
     def test_client_accepts_store_path(self, paper_graph, tmp_path):
         tuned_cfg = GMBEConfig(bound_height=4)
@@ -1154,7 +1188,7 @@ class TestTunedConfigService:
         ) as client:
             res = client.submit(graph=paper_graph, config="tuned")
             assert res.ok and res.count == 6
-            assert client.metrics_snapshot()["counters"]["tuned_hits"] == 1
+            assert client.metrics_snapshot()["service.tuning.hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -1199,7 +1233,7 @@ class TestDegradedJobs:
             # the coordinator already burned the per-shard budget:
             # exactly one broker-level attempt, no retries
             assert res.attempts == 1
-            assert broker.metrics.degraded == 1
+            assert _count(broker, "service.jobs.degraded") == 1
             # degraded results are never cached
             res2 = await broker.submit(Job(graph=self.GRAPH, shards=4))
             assert not res2.cache_hit and not res2.coalesced
@@ -1271,8 +1305,8 @@ class TestDegradedJobs:
             )
             r1, r2 = await asyncio.gather(f1, f2)
             assert r2.status == JobStatus.EXPIRED
-            assert broker.metrics.jobs_shed == 1
-            assert broker.metrics.expired == 1
+            assert _count(broker, "service.jobs.shed") == 1
+            assert _count(broker, "service.jobs.expired") == 1
 
         run_broker(go, n_workers=1, runner=slow_runner)
 
@@ -1294,12 +1328,12 @@ class TestAutoShardCircuitBreaker:
             r1 = await broker.submit(Job(graph=self.GRAPH))
             r2 = await broker.submit(Job(graph=self.GRAPH, min_left=2))
             assert r1.status == r2.status == JobStatus.DEGRADED
-            assert broker.metrics.breaker_opened == 1
+            assert _count(broker, "service.shard.breaker_opened") == 1
             # open: the same admission policy no longer volunteers jobs
             # into the dying backend — they run single-node and succeed
             r3 = await broker.submit(Job(graph=self.GRAPH, min_left=3))
             assert r3.status == JobStatus.COMPLETED
-            assert broker.metrics.auto_shard_suppressed == 1
+            assert _count(broker, "service.shard.auto_suppressed") == 1
             assert calls == [4, 4, 1]
             # explicit shards are the caller's call: still honored
             r4 = await broker.submit(Job(graph=self.GRAPH, shards=2,
@@ -1321,7 +1355,7 @@ class TestAutoShardCircuitBreaker:
         async def go(broker):
             r1 = await broker.submit(Job(graph=self.GRAPH))
             assert r1.status == JobStatus.DEGRADED  # threshold=1: open
-            assert broker.metrics.breaker_opened == 1
+            assert _count(broker, "service.shard.breaker_opened") == 1
             await asyncio.sleep(0.25)  # past the cooldown -> half-open
             state["healthy"] = True
             r2 = await broker.submit(Job(graph=self.GRAPH, min_left=2))
@@ -1329,7 +1363,7 @@ class TestAutoShardCircuitBreaker:
             assert broker._breaker_open_until is None  # closed again
             r3 = await broker.submit(Job(graph=self.GRAPH, min_left=3))
             assert r3.status == JobStatus.COMPLETED
-            assert broker.metrics.auto_shard_suppressed == 0
+            assert _count(broker, "service.shard.auto_suppressed") == 0
 
         run_broker(go, n_workers=1, runner=runner,
                    auto_shard_over_edges=1, auto_shard_count=4,
@@ -1343,14 +1377,14 @@ class TestAutoShardCircuitBreaker:
 
         async def go(broker):
             await broker.submit(Job(graph=self.GRAPH))
-            assert broker.metrics.breaker_opened == 1
+            assert _count(broker, "service.shard.breaker_opened") == 1
             await asyncio.sleep(0.25)
             r = await broker.submit(Job(graph=self.GRAPH, min_left=2))
             assert r.status == JobStatus.DEGRADED  # the probe failed
-            assert broker.metrics.breaker_opened == 2  # re-opened
+            assert _count(broker, "service.shard.breaker_opened") == 2  # re-opened
             r2 = await broker.submit(Job(graph=self.GRAPH, min_left=3))
             assert r2.status == JobStatus.COMPLETED  # suppressed again
-            assert broker.metrics.auto_shard_suppressed == 1
+            assert _count(broker, "service.shard.auto_suppressed") == 1
 
         run_broker(go, n_workers=1, runner=runner,
                    auto_shard_over_edges=1, auto_shard_count=4,

@@ -307,7 +307,7 @@ class TestIntegration:
             assert tuple(sharded.bicliques) == tuple(plain.bicliques)
             assert plain.cache_hit
             snap = client.metrics_snapshot()
-            assert snap["counters"]["sharded"] == 1
+            assert snap["service.jobs.sharded"] == 1
 
     def test_broker_auto_shard_policy(self, graph):
         from repro.service import ServiceClient
@@ -317,7 +317,7 @@ class TestIntegration:
         ) as client:
             res = client.submit(graph=graph, algorithm="gmbe")
             assert res.ok
-            assert client.metrics_snapshot()["counters"]["sharded"] == 1
+            assert client.metrics_snapshot()["service.jobs.sharded"] == 1
 
     def test_cli_run_shards(self, capsys):
         from repro.cli import main

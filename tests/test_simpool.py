@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import PoolSchedule, run_tasks_threaded, schedule_tasks
+from repro.parallel import PoolSchedule, schedule_tasks
 
 
 class TestScheduleTasks:
@@ -55,16 +55,3 @@ class TestScheduleTasks:
         b = schedule_tasks([3, 1, 4, 1, 5], 3)
         assert a.intervals == b.intervals
 
-
-class TestThreadedRunner:
-    def test_preserves_order(self):
-        out = run_tasks_threaded(lambda x: x * 2, range(20), n_workers=4)
-        assert out == [x * 2 for x in range(20)]
-
-    def test_single_worker_path(self):
-        out = run_tasks_threaded(lambda x: x + 1, [1, 2], n_workers=1)
-        assert out == [2, 3]
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            run_tasks_threaded(lambda x: x, [1], n_workers=0)

@@ -1,11 +1,10 @@
 """Tests for the unified telemetry layer (`repro.telemetry`).
 
 Covers the metrics registry and its exporters, span tracing with
-context propagation, the pluggable sinks, the ServiceMetrics
-compatibility shim, kernel phase attribution — and the acceptance
-story: one broker job with injected faults whose spans, scheduler
-tasks, fault events, and cache/retry records all share the same
-``job_id``.
+context propagation, the pluggable sinks, kernel phase attribution —
+and the acceptance story: one broker job with injected faults whose
+spans, scheduler tasks, fault events, and cache/retry records all share
+the same ``job_id``.
 """
 
 import asyncio
@@ -22,7 +21,6 @@ from repro.service import (
     EnumerationBroker,
     ResiliencePolicy,
     ServiceClient,
-    ServiceMetrics,
 )
 from repro.telemetry import (
     CallbackSink,
@@ -51,7 +49,7 @@ FAST_POLICY = ResiliencePolicy(
 class TestInstruments:
     def test_counter(self):
         c = Counter("a.b")
-        c.inc()
+        c.add(1)
         c.add(4)
         assert c.value == 5 and c.snapshot() == 5
         c.reset()
@@ -239,44 +237,6 @@ class TestTelemetryFacade:
         with use_telemetry(t):
             assert current_telemetry() is t
         assert current_telemetry() is None
-
-
-# ----------------------------------------------------------------------
-# ServiceMetrics compatibility shim
-# ----------------------------------------------------------------------
-class TestServiceMetricsShim:
-    def test_attributes_are_registry_backed(self):
-        m = ServiceMetrics()
-        m.submitted += 2
-        m.cache_hits += 1
-        assert m.registry.get("service.jobs.submitted").value == 2
-        assert m.registry.get("service.cache.hits").value == 1
-        m.registry.counter("service.jobs.submitted").inc()
-        assert m.submitted == 3
-
-    def test_snapshot_keeps_historical_shape(self):
-        m = ServiceMetrics()
-        m.completed += 1
-        m.latency_ms.record(12.0)
-        snap = m.snapshot()
-        assert snap["counters"]["completed"] == 1
-        assert snap["latency_ms"]["count"] == 1
-        assert set(snap) == {
-            "counters", "latency_ms", "cache_hit_latency_ms", "queue_depth"
-        }
-
-    def test_shared_registry(self):
-        reg = MetricsRegistry()
-        m = ServiceMetrics(registry=reg)
-        m.failed += 1
-        assert reg.snapshot()["service.jobs.failed"] == 1
-
-    def test_reset(self):
-        m = ServiceMetrics()
-        m.submitted += 5
-        m.latency_ms.record(1.0)
-        m.reset()
-        assert m.submitted == 0 and m.latency_ms.count == 0
 
 
 # ----------------------------------------------------------------------
