@@ -158,7 +158,7 @@ class Snapshot:
             "tasks": [t.to_dict() for t in self.tasks],
             "emissions": [e.to_dict() for e in self.emissions],
             # Executed lineages are enumeration-tree paths: store them as
-            # LCP-compressed rows (tree-buffer provenance), not full lists.
+            # LCP-compressed rows (store.provenance), not full lists.
             "executed_paths": pack_lineages(self.executed),
             "counters": self.counters,
             "fault_plan": self.fault_plan,

@@ -15,7 +15,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".coordinator": (
         "ShardCoordinator ShardMergeError ShardReport iter_merged "
-        "merge_shard_results merge_shard_results_to_store"
+        "merge_shard_results"
     ),
     ".degraded": "DegradedShardRun PartialResult ResumeHandle",
     ".plan": "BALANCERS ShardPlan root_weights",

@@ -74,7 +74,6 @@ __all__ = [
     "ShardMergeError",
     "iter_merged",
     "merge_shard_results",
-    "merge_shard_results_to_store",
 ]
 
 #: telemetry counter per pool supervision event kind (DESIGN.md §12)
@@ -237,8 +236,8 @@ def iter_merged(results: list[ShardResult]):
     Raises :class:`ShardMergeError` on any duplicate — disjoint
     ownership means equal bicliques from two shards indicate a plan
     mismatch, not a benign overlap.  A generator so consumers that
-    compress or page (see :func:`merge_shard_results_to_store`) never
-    hold the merged list.
+    compress or page (``StoredResultSet.from_bicliques(iter_merged(...))``)
+    never hold the merged list.
     """
     def _stream(result: ShardResult):
         for b in result.bicliques:
@@ -264,23 +263,6 @@ def iter_merged(results: list[ShardResult]):
 def merge_shard_results(results: list[ShardResult]) -> list[Biclique]:
     """K-way stream-merge per-shard sorted lists into one ordered list."""
     return list(iter_merged(results))
-
-
-def merge_shard_results_to_store(results: list[ShardResult], **kwargs):
-    """Stream-merge straight into a compressed result store.
-
-    The shard streams feed a :class:`~repro.store.ResultStoreWriter`
-    one biclique at a time, so peak resident memory is the per-shard
-    inputs plus O(one path) of encoder state — never the merged list.
-    ``kwargs`` pass through to the writer (``block_records``,
-    ``telemetry``).
-    """
-    from ..store import ResultStoreWriter
-
-    writer = ResultStoreWriter(**kwargs)
-    for b in iter_merged(results):
-        writer.append(b.left, b.right)
-    return writer.finish()
 
 
 @dataclass

@@ -26,24 +26,19 @@ touching the payload: O(1) cursor seek to the containing block, and
 whole-block skipping under size filters (``max_left < min_left`` means
 no record in the block can pass).
 
-The encoder's state between records is not a pair of ad-hoc "previous"
-lists but a live path in a :class:`~repro.store.treebuf.TreeBuffer`:
-each vertex of the current biclique is a node, the shared prefix stays,
-the divergent suffix is deactivated (and immediately reclaimed — no
-live reader), and the new suffix is appended with ``add_child``.  The
-previous record used for delta computation is ``history(tip)``.  The
-buffer therefore holds O(one path) live nodes while its lifetime
-counters record how much enumeration tree streamed through — the
-measured compression the ``store.*`` metrics export.
+The encoder's only state between records is the previous record itself
+— a ``(left, right)`` pair of tuples — which is all the per-side LCPs
+need.  Prefix sharing between consecutive bicliques of an enumeration
+order is what the format compresses (Mukherjee & Tirthapura,
+arXiv:1404.4910).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .treebuf import ROOT, TreeBuffer
 
 __all__ = [
     "Block",
@@ -85,6 +80,18 @@ def _lcp(a: tuple, b: tuple) -> int:
     return i
 
 
+def _gaps(side: tuple, lcp: int, ordinal: int, name: str) -> list:
+    """Delta words of ``side[lcp:]``, each against its predecessor."""
+    before = side[lcp - 1:-1] if lcp else (-1,) + side[:-1]
+    gaps = list(map(operator.sub, side[lcp:], before))
+    if gaps and min(gaps) < 1:
+        raise ValueError(
+            f"record {ordinal}: {name} side {side!r} is not strictly "
+            f"increasing non-negative vertex ids"
+        )
+    return gaps
+
+
 class PathDeltaEncoder:
     """Append-only encoder; ``finish()`` freezes the block list."""
 
@@ -94,9 +101,8 @@ class PathDeltaEncoder:
                 f"block_records must be positive, got {block_records}"
             )
         self.block_records = block_records
-        self.tree = TreeBuffer()
-        #: node ids of the live path, tagged (side, vertex) payloads
-        self._path: list[int] = []
+        #: the previous record, the only state carried between records
+        self._prev: tuple[tuple, tuple] = ((), ())
         self._blocks: list[Block] = []
         self._words: list[int] = []
         self._block_start = 0
@@ -106,66 +112,36 @@ class PathDeltaEncoder:
         self._n_records = 0
         self._finished = False
 
-    # ------------------------------------------------------------------
-    def _prev(self) -> tuple[tuple, tuple]:
-        """The previous record, replayed off the tree buffer's path."""
-        if not self._path:
-            return (), ()
-        pairs = self.tree.history(self._path[-1])
-        left = tuple(v for side, v in pairs if side == 0)
-        right = tuple(v for side, v in pairs if side == 1)
-        return left, right
-
-    def _repath(self, left: tuple, right: tuple, keep: int) -> None:
-        """Replace the live path's suffix beyond ``keep`` tagged nodes."""
-        for node in reversed(self._path[keep:]):
-            self.tree.deactivate(node)
-        del self._path[keep:]
-        parent = self._path[-1] if self._path else ROOT
-        for v in left[max(0, keep):] if keep < len(left) else ():
-            parent = self.tree.add_child(parent, (0, v))
-            self._path.append(parent)
-        start_r = max(0, keep - len(left))
-        for v in right[start_r:]:
-            parent = self.tree.add_child(parent, (1, v))
-            self._path.append(parent)
-
     def add(self, left: tuple, right: tuple) -> int:
-        """Encode one record; returns its ordinal."""
+        """Encode one record; returns its ordinal.
+
+        Raises :class:`ValueError` (and encodes nothing) when a side is
+        not strictly increasing non-negative ints — a delta word < 1.
+        """
         if self._finished:
             raise RuntimeError("encoder already finished")
-        prev_left, prev_right = self._prev()
-        lcp_l = _lcp(left, prev_left)
-        lcp_r = _lcp(right, prev_right)
-        # The tagged tree path only shares right-side nodes below a
-        # fully identical left side (a path prefix cannot skip levels).
-        if lcp_l == len(left) == len(prev_left):
-            keep = lcp_l + lcp_r
-        else:
-            keep = lcp_l
-        self._repath(left, right, keep)
-
+        ordinal = self._n_records
         if self._block_records == 0:
             lcp_l = lcp_r = 0  # block-start records are self-contained
+        else:
+            prev_left, prev_right = self._prev
+            lcp_l = _lcp(left, prev_left)
+            lcp_r = _lcp(right, prev_right)
+        gaps_l = _gaps(left, lcp_l, ordinal, "left")
+        gaps_r = _gaps(right, lcp_r, ordinal, "right")
         words = self._words
         words.append(lcp_l)
         words.append(len(left) - lcp_l)
         words.append(lcp_r)
         words.append(len(right) - lcp_r)
-        base = left[lcp_l - 1] if lcp_l else -1
-        for v in left[lcp_l:]:
-            words.append(v - base)
-            base = v
-        base = right[lcp_r - 1] if lcp_r else -1
-        for v in right[lcp_r:]:
-            words.append(v - base)
-            base = v
+        words.extend(gaps_l)
+        words.extend(gaps_r)
+        self._prev = (left, right)
 
         if len(left) > self._max_l:
             self._max_l = len(left)
         if len(right) > self._max_r:
             self._max_r = len(right)
-        ordinal = self._n_records
         self._n_records += 1
         self._block_records += 1
         if self._block_records >= self.block_records:
@@ -194,10 +170,6 @@ class PathDeltaEncoder:
         """Close the open block; further ``add`` calls are an error."""
         if not self._finished:
             self._close_block()
-            # Drop the final live path — nothing will read it again.
-            for node in reversed(self._path):
-                self.tree.deactivate(node)
-            self._path = []
             self._finished = True
         return self._blocks
 

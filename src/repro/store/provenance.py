@@ -3,7 +3,7 @@
 The checkpoint snapshot must remember which subtree tasks *already*
 executed, so the resumed emission ledger can suppress their replays.
 Lineages are root-to-task paths in the enumeration tree — exactly the
-shape tree buffers compress — so instead of an explicit list of full
+shape LCP rows compress — so instead of an explicit list of full
 paths the v2 wire format stores them as LCP-compressed rows:
 
 ``pack_lineages`` sorts the lineages and writes each as

@@ -237,10 +237,8 @@ class ResultStoreWriter:
         self,
         *,
         block_records: int = DEFAULT_BLOCK_RECORDS,
-        telemetry=None,
     ) -> None:
         self._enc = PathDeltaEncoder(block_records)
-        self._telemetry = telemetry
 
     def append(self, left, right) -> None:
         """Add one biclique given any sorted int sequences."""
@@ -271,9 +269,7 @@ class ResultStoreWriter:
     def _note_store(self, store: StoredResultSet) -> None:
         from ..telemetry.hub import current_telemetry
 
-        telemetry = self._telemetry
-        if telemetry is None:
-            telemetry = current_telemetry()
+        telemetry = current_telemetry()
         if telemetry is None or not telemetry.enabled:
             return
         reg = telemetry.registry
@@ -290,16 +286,3 @@ class ResultStoreWriter:
         reg.counter(
             "store.results.blocks", description="encoded blocks written"
         ).add(store.n_blocks)
-        stats = self._enc.tree.stats()
-        reg.counter(
-            "store.treebuf.nodes_added",
-            description="tree-buffer nodes allocated while encoding",
-        ).add(stats["added"])
-        reg.counter(
-            "store.treebuf.nodes_reclaimed",
-            description="tree-buffer nodes reclaimed by deactivation",
-        ).add(stats["reclaimed"])
-        reg.gauge(
-            "store.treebuf.peak_live",
-            description="peak live tree-buffer nodes (O(history) bound)",
-        ).set(stats["peak_live"])

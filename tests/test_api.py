@@ -156,7 +156,7 @@ class TestSizeFilterValidation:
 
 
 PACKAGES = [
-    "repro", "repro.analysis", "repro.bench", "repro.checkpoint",
+    "repro", "repro.bench", "repro.checkpoint",
     "repro.core", "repro.datasets", "repro.gmbe", "repro.gpusim",
     "repro.graph", "repro.parallel", "repro.service", "repro.sharding",
     "repro.store", "repro.streaming", "repro.telemetry", "repro.tuning",

@@ -1,23 +1,15 @@
 """End-to-end integration: the full pipeline a downstream user runs.
 
 Generate a realistic workload → enumerate on the simulated GPU →
-post-process (stats, cover, overlap) → certify with the independent
-verifier → profile and export a trace.  One scenario, every layer.
+certify with the independent verifier → profile and export a trace.
+One scenario, every layer.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import enumerate_maximal_bicliques, verify_enumeration
-from repro.analysis import (
-    edge_coverage,
-    greedy_edge_cover,
-    overlap_components,
-    participation_counts,
-    summarize,
-)
 from repro.bench.common import scale_device
 from repro.core import BicliqueCollector
 from repro.gmbe import GMBEConfig, gmbe_gpu
@@ -51,33 +43,6 @@ class TestPipeline:
         graph, collector, _ = workload
         via_facade = enumerate_maximal_bicliques(graph, algorithm="oombea")
         assert set(via_facade) == collector.as_set()
-
-    def test_stats_reflect_planted_blocks(self, workload):
-        graph, collector, _ = workload
-        stats = summarize(collector.bicliques)
-        assert stats.n_bicliques == collector.count
-        assert stats.max_edges >= 10 * 7
-
-    def test_cover_explains_graph(self, workload):
-        graph, collector, _ = workload
-        cover = greedy_edge_cover(collector.bicliques, graph, k=50)
-        assert cover.coverage > 0.5
-        assert edge_coverage(cover.selected, graph) == pytest.approx(
-            cover.coverage
-        )
-
-    def test_participation_hubs_exist(self, workload):
-        graph, collector, _ = workload
-        u_counts, v_counts = participation_counts(
-            collector.bicliques, graph.n_u, graph.n_v
-        )
-        assert u_counts.max() > 1  # overlap region vertices
-
-    def test_overlap_clusters_blocks(self, workload):
-        graph, collector, _ = workload
-        big = [b for b in collector.bicliques if b.n_edges >= 40]
-        comps = overlap_components(big, min_jaccard=0.15)
-        assert 1 <= comps.n_components <= len(big)
 
     def test_profile_and_trace(self, workload, tmp_path):
         _, _, result = workload

@@ -1,5 +1,5 @@
-"""The succinct result store (repro.store): tree buffer, delta
-encoding, StoredResultSet paging, provenance, and end-to-end threading
+"""The succinct result store (repro.store): delta encoding, wire
+format, StoredResultSet paging, provenance, and end-to-end threading
 through the kernel, shard merge, checkpoint, service, and CLI layers.
 """
 
@@ -18,11 +18,9 @@ from repro.core.bicliques import Biclique, BicliqueCollector
 from repro.gmbe import GMBEConfig, gmbe_gpu
 from repro.graph import random_bipartite
 from repro.store import (
-    ROOT,
     PathDeltaEncoder,
     ResultStoreWriter,
     StoredResultSet,
-    TreeBuffer,
     count_records,
     decode_blocks,
     materialized_nbytes,
@@ -51,78 +49,6 @@ def _store_from(recs, block_records=16) -> StoredResultSet:
 
 
 # ---------------------------------------------------------------------------
-class TestTreeBuffer:
-    def test_history_walks_root_to_node(self):
-        tb = TreeBuffer()
-        a = tb.add_child(ROOT, "a")
-        b = tb.add_child(a, "b")
-        c = tb.add_child(b, "c")
-        assert tb.history(c) == ["a", "b", "c"]
-        assert tb.history(a) == ["a"]
-        assert tb.history(ROOT) == []
-
-    def test_deactivate_leaf_cascades_up_dead_branch(self):
-        tb = TreeBuffer()
-        a = tb.add_child(ROOT, "a")
-        b = tb.add_child(a, "b")
-        c = tb.add_child(b, "c")
-        tb.deactivate(a)
-        tb.deactivate(b)
-        # a and b are deactivated but pinned by live c
-        assert tb.is_live(a) and tb.is_live(b)
-        tb.deactivate(c)
-        # the whole branch collapses in one cascade
-        assert not (tb.is_live(a) or tb.is_live(b) or tb.is_live(c))
-        assert len(tb) == 0
-        assert tb.stats()["reclaimed"] == 3
-
-    def test_live_sibling_pins_shared_prefix(self):
-        tb = TreeBuffer()
-        a = tb.add_child(ROOT, "a")
-        b1 = tb.add_child(a, "b1")
-        b2 = tb.add_child(a, "b2")
-        tb.deactivate(a)
-        tb.deactivate(b1)
-        assert not tb.is_live(b1)
-        assert tb.is_live(a)  # pinned by b2
-        assert tb.history(b2) == ["a", "b2"]
-        tb.deactivate(b2)
-        assert len(tb) == 0
-
-    def test_slots_are_reused_after_reclamation(self):
-        tb = TreeBuffer()
-        a = tb.add_child(ROOT, "a")
-        tb.deactivate(a)
-        b = tb.add_child(ROOT, "b")
-        assert b == a  # free-listed slot
-        assert tb.history(b) == ["b"]
-
-    def test_reclaimed_node_access_is_actionable(self):
-        tb = TreeBuffer()
-        a = tb.add_child(ROOT, "a")
-        tb.deactivate(a)
-        with pytest.raises(ValueError, match="reclaimed"):
-            tb.history(a)
-        with pytest.raises(ValueError, match="not in the buffer"):
-            tb.add_child(99, "x")
-        with pytest.raises(ValueError, match="virtual root"):
-            tb.deactivate(ROOT)
-
-    def test_peak_live_stays_path_bounded_under_streaming(self):
-        rng = random.Random(7)
-        recs = _random_records(rng, 500)
-        enc = PathDeltaEncoder()
-        for left, right in recs:
-            enc.add(left, right)
-        enc.finish()
-        max_path = max(len(l) + len(r) for l, r in recs)
-        # O(history): the buffer never holds more than ~one record path
-        assert enc.tree.peak_live <= 2 * max_path
-        assert enc.tree.live_nodes == 0
-        assert enc.tree.nodes_added > enc.tree.peak_live
-
-
-# ---------------------------------------------------------------------------
 class TestEncoding:
     @pytest.mark.parametrize("block_records", [1, 2, 7, 256])
     def test_roundtrip_bit_identical(self, block_records):
@@ -134,6 +60,37 @@ class TestEncoding:
         blocks = enc.finish()
         assert [(l, r) for _, l, r in decode_blocks(blocks)] == recs
         assert count_records(blocks) == len(recs)
+
+    def test_golden_wire_format(self):
+        # Hand-worked stream pinning the exact words: r1 shares a left
+        # and a right prefix with r0; r2 repeats r1's left side but
+        # opens block 1, so its lcps reset to 0; r3 shares only a right
+        # prefix; r4 opens the last, partial block.
+        recs = [
+            ((1, 3), (2, 5)),
+            ((1, 3, 4), (2, 6)),
+            ((1, 3, 4), (2, 6, 7)),
+            ((0,), (2, 6, 7, 9)),
+            ((0, 8), (2, 6, 7, 9)),
+        ]
+        enc = PathDeltaEncoder(2)
+        for left, right in recs:
+            enc.add(left, right)
+        blocks = enc.finish()
+        expected = [
+            (0, 2, 3, 2, [0, 2, 0, 2, 2, 2, 3, 3,
+                          2, 1, 1, 1, 1, 4]),
+            (2, 2, 3, 4, [0, 3, 0, 3, 2, 2, 1, 3, 4, 1,
+                          0, 1, 3, 1, 1, 2]),
+            (4, 1, 2, 4, [0, 2, 0, 4, 1, 8, 3, 4, 1, 2]),
+        ]
+        assert len(blocks) == len(expected)
+        for block, (start, n, max_l, max_r, words) in zip(blocks, expected):
+            assert block.data.dtype == np.uint32
+            assert block.data.tolist() == words
+            assert (block.start, block.n_records) == (start, n)
+            assert (block.max_left, block.max_right) == (max_l, max_r)
+        assert [(l, r) for _, l, r in decode_blocks(blocks)] == recs
 
     def test_blocks_decode_independently(self):
         rng = random.Random(5)
@@ -272,6 +229,24 @@ class TestStoredResultSet:
         ]
         assert writer.count == 2
 
+    @pytest.mark.parametrize("left, right, side", [
+        ((3, 1), (2,), "left"),    # unsorted
+        ((1, 1), (2,), "left"),    # repeated vertex
+        ((-1,), (2,), "left"),     # negative id
+        ((0, 4), (5, 5), "right"),
+    ])
+    def test_writer_rejects_malformed_sides(self, left, right, side):
+        writer = ResultStoreWriter()
+        writer.append((0, 4), (2, 5))
+        with pytest.raises(ValueError, match=f"record 1: {side} side"):
+            writer.append(left, right)
+        # the rejected record left no trace in the stream
+        writer.append((0, 5), (2,))
+        assert list(writer.finish()) == [
+            Biclique((0, 4), (2, 5)),
+            Biclique((0, 5), (2,)),
+        ]
+
 
 # ---------------------------------------------------------------------------
 class TestProvenance:
@@ -368,18 +343,18 @@ class TestEndToEnd:
         assert res.n_maximal == len(store)
 
     def test_shard_merge_streams_into_store(self):
-        from repro.sharding import ShardCoordinator, merge_shard_results_to_store
+        from repro.sharding import ShardCoordinator, iter_merged
 
         graph = random_bipartite(22, 20, 0.3, seed=6)
         report = ShardCoordinator(graph, 3).run()
-        store = merge_shard_results_to_store(report.shards)
+        store = StoredResultSet.from_bicliques(iter_merged(report.shards))
         assert list(store) == report.bicliques
         single = enumerate_maximal_bicliques(graph, algorithm="gmbe")
         assert sorted(store) == single
 
     def test_shard_merge_to_store_refuses_duplicates(self):
         from repro.core.bicliques import Counters
-        from repro.sharding import ShardMergeError, merge_shard_results_to_store
+        from repro.sharding import ShardMergeError, iter_merged
         from repro.sharding.runner import ShardResult
 
         b = Biclique((1,), (2,))
@@ -389,7 +364,7 @@ class TestEndToEnd:
             for i in range(2)
         ]
         with pytest.raises(ShardMergeError, match="duplicate"):
-            merge_shard_results_to_store(shards)
+            StoredResultSet.from_bicliques(iter_merged(shards))
 
     def test_store_metrics_registered(self):
         from repro.telemetry import Telemetry, use_telemetry
@@ -407,8 +382,6 @@ class TestEndToEnd:
         assert snap["store.results.encoded_bytes"] == store.nbytes
         assert snap["store.pages.served"] == 1
         assert snap["store.pages.items"] == 5
-        assert snap["store.treebuf.nodes_added"] > 0
-        assert snap["store.treebuf.peak_live"] > 0
 
 
 # ---------------------------------------------------------------------------
