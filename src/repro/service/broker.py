@@ -164,11 +164,6 @@ def _accepts_kwarg(runner, name: str) -> bool:
     )
 
 
-def _accepts_checkpoint(runner) -> bool:
-    """True if ``runner`` takes a ``checkpoint_path`` keyword."""
-    return _accepts_kwarg(runner, "checkpoint_path")
-
-
 @dataclass
 class _Entry:
     job: Job
@@ -287,7 +282,9 @@ class EnumerationBroker:
         #: so a retried/resubmitted job resumes instead of restarting;
         #: ``None`` disables job-level checkpointing entirely.
         self.checkpoint_dir = checkpoint_dir
-        self._runner_takes_checkpoint = _accepts_checkpoint(self._runner)
+        self._runner_takes_checkpoint = _accepts_kwarg(
+            self._runner, "checkpoint_path"
+        )
         #: route any gmbe job on a graph above this edge count through
         #: the sharding subsystem, even when the job didn't ask — the
         #: "graph one device can't hold" admission policy.  ``None``

@@ -3,11 +3,12 @@
 The subsystem splits one enumeration into N independent *shard-jobs* by
 partitioning root-task ownership (:class:`ShardPlan`), runs each shard
 as an ordinary kernel run restricted to its owned roots
-(:class:`ShardRunner`), and runs the shards in-process or on a warm
-worker-process pool, placed on dedicated or clustered simulated GPUs,
-stream-merging the per-shard results into one duplicate-free ordered
-set (:class:`ShardCoordinator`).  DESIGN.md §11
-has the architecture and the ownership/disjointness proof sketch.
+(:func:`run_shard_task`) in-process or on a warm worker-process pool,
+placed on dedicated or clustered simulated GPUs, and stream-merges the
+per-shard results into one duplicate-free ordered set
+(:class:`ShardCoordinator`), reported as one :class:`ShardReport` —
+partial, with resume handles, when shards were quarantined.  DESIGN.md
+§11 has the architecture and the ownership/disjointness proof sketch.
 """
 
 from .._lazy import lazy_exports
@@ -17,7 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ShardCoordinator ShardMergeError ShardReport iter_merged "
         "merge_shard_results"
     ),
-    ".degraded": "DegradedShardRun PartialResult ResumeHandle",
+    ".degraded": "DegradedShardRun ResumeHandle",
     ".plan": "BALANCERS ShardPlan root_weights",
-    ".runner": "ShardResult ShardRunner run_shard_task",
+    ".runner": "ShardResult run_shard_task",
 })

@@ -2,9 +2,10 @@
 
 :class:`ShardCoordinator` is the orchestration layer of the sharding
 subsystem: build (or accept) a :class:`~repro.sharding.ShardPlan`, run
-one :class:`~repro.sharding.ShardRunner` per shard — in-process one
+:func:`~repro.sharding.run_shard_task` once per shard — in-process one
 after another, or on supervised worker processes — and stream-merge
-the per-shard sorted result lists into one duplicate-free ordered set.
+the per-shard sorted result lists into one duplicate-free ordered set,
+reported as one :class:`ShardReport` whether or not shards were lost.
 
 Placement is simulated two ways:
 
@@ -59,14 +60,9 @@ from ..telemetry import (
     reparent_records,
     write_flight_record,
 )
-from .degraded import PartialResult, ResumeHandle
+from .degraded import ResumeHandle
 from .plan import ShardPlan
-from .runner import (
-    ShardResult,
-    ShardRunner,
-    run_shard_task,
-    shard_checkpoint_path,
-)
+from .runner import ShardResult, run_shard_task, shard_checkpoint_path
 
 __all__ = [
     "ShardCoordinator",
@@ -267,27 +263,52 @@ def merge_shard_results(results: list[ShardResult]) -> list[Biclique]:
 
 @dataclass
 class ShardReport:
-    """Aggregate outcome of one sharded enumeration."""
+    """Aggregate outcome of one sharded enumeration.
 
-    #: complete-run marker (contrast :class:`PartialResult`)
-    is_partial = False
+    After a quarantine ``is_partial`` is set, ``shards`` and
+    ``bicliques`` cover the completed shards only, and ``resume`` holds
+    one :class:`~repro.sharding.ResumeHandle` per quarantined shard.
+    """
 
     plan: ShardPlan
+    #: the shards that finished, in shard order
     shards: list[ShardResult]
     bicliques: list[Biclique]
     counters: Counters
     #: Fleet makespan under the chosen placement (seconds, simulated).
     sim_time: float
-    #: GPU index each shard ran on (dedicated placement: shard i → i).
+    #: GPU index each finished shard ran on (same order as ``shards``).
     placement: list[int]
     #: True when any shard halted early — the merged set is then a
     #: resumable *partial* result, not the full enumeration.
     halted: bool = False
     extras: dict = field(default_factory=dict)
+    #: shard ids abandoned after exhausting their attempt budget
+    quarantined: list[int] = field(default_factory=list)
+    resume: list[ResumeHandle] = field(default_factory=list)
 
     @property
     def n_maximal(self) -> int:
         return len(self.bicliques)
+
+    @property
+    def is_partial(self) -> bool:
+        """True when shards were quarantined (see :attr:`resume`)."""
+        return bool(self.quarantined)
+
+    @property
+    def completed_shards(self) -> list[int]:
+        return sorted(r.shard_id for r in self.shards)
+
+    def describe(self) -> str:
+        """One human line for logs and the CLI."""
+        line = (
+            f"{self.n_maximal} bicliques from shards "
+            f"{self.completed_shards} of {self.plan.n_shards}"
+        )
+        if not self.is_partial:
+            return line
+        return f"degraded: {line}; quarantined {self.quarantined}"
 
 
 class ShardCoordinator:
@@ -327,8 +348,10 @@ class ShardCoordinator:
         retry: a shard whose worker dies is resubmitted (resuming from
         its checkpoint when ``checkpoint_dir`` is set) up to
         ``max_shard_attempts`` times, then **quarantined** — and the
-        run returns a :class:`~repro.sharding.PartialResult` instead of
-        raising, with resume handles for the lost shards.
+        run returns a :class:`ShardReport` with ``is_partial`` set
+        instead of raising, with resume handles for the lost shards.
+        Either way every shard runs
+        :func:`~repro.sharding.run_shard_task`.
         ``extras["pool_stats"]`` counts the supervision events of this
         run only, not the lifetime of a shared pool.
     max_shard_attempts:
@@ -347,21 +370,19 @@ class ShardCoordinator:
         Enable per-shard checkpointing under this directory.
     fault_plans, halt_after_tasks:
         Per-shard robustness injection, keyed by shard id (shards not
-        in the mapping run clean).
+        in the mapping run clean).  A key that names no shard raises
+        :class:`ValueError`, as it does in ``chaos_kills``.
     tuning_store:
         Store for ``config="tuned"`` resolution (default store if None).
     telemetry:
-        Explicit telemetry; defaults to ambient discovery.  Thread and
-        process dispatch honor the **same correlation contract**: every
-        shard's ``sim.kernel``/``sim.phase.*``/fault records share the
-        job's ``trace_id`` and ``job_id`` and sit under a per-shard
-        span in the ``shard.job`` tree.  Thread dispatch gets this by
-        running in the coordinator's own context; process dispatch
-        ships a picklable
-        :class:`~repro.telemetry.TraceContext` into each worker, which
-        records into a local buffering telemetry and returns picklable
-        snapshots (incrementally on heartbeats, finally on the result)
-        that the coordinator re-parents under its per-attempt
+        Explicit telemetry; defaults to ambient discovery.  Both pools
+        give the **same span tree**: each shard's ``sim.kernel``,
+        ``sim.phase.*`` and fault records share the job's ``trace_id``
+        and ``job_id`` under a per-shard ``shard.run`` span in the
+        ``shard.job`` tree.  Inline shards record into this telemetry
+        directly; process shards get a picklable
+        :class:`~repro.telemetry.TraceContext` and send their records
+        back, which the coordinator re-parents under its per-attempt
         ``shard.run``/``shard.retry`` spans and folds into the parent
         registry — plus parent-side ``supervisor.*`` counters.
     flight_dir:
@@ -432,6 +453,14 @@ class ShardCoordinator:
         self.halt_after_tasks = (
             dict(halt_after_tasks) if halt_after_tasks else {}
         )
+        for name in ("chaos_kills", "fault_plans", "halt_after_tasks"):
+            for key in getattr(self, name):
+                if (not isinstance(key, int) or isinstance(key, bool)
+                        or not 0 <= key < n_shards):
+                    raise ValueError(
+                        f"{name} key {key!r} is not a shard id: expected "
+                        f"an int in [0, {n_shards}) for n_shards={n_shards}"
+                    )
         self.tuning_store = tuning_store
         self.telemetry = telemetry
         self.flight_dir = flight_dir
@@ -486,13 +515,6 @@ class ShardCoordinator:
             [1] * self.n_shards,
         )
 
-    def _makespan(self, results: list[ShardResult], placement: list[int]) -> float:
-        """Fleet time under the placement (max per-GPU serial sum)."""
-        per_gpu: dict[int, float] = {}
-        for r, gpu in zip(results, placement):
-            per_gpu[gpu] = per_gpu.get(gpu, 0.0) + r.sim_time
-        return max(per_gpu.values(), default=0.0)
-
     # ------------------------------------------------------------------
     def plan_shards(self) -> ShardPlan:
         """Build (or return the cached) ownership plan."""
@@ -537,6 +559,7 @@ class ShardCoordinator:
                     plan_span.set_attr("signature", plan.signature()[:16])
 
             gpu_of, devices, surcharges, gpu_counts = self._placement()
+            quarantine: dict[int, str] = {}
             if self.pool_backend == "process":
                 results, attempts, quarantine, recorder, pool_stats = (
                     self._dispatch_supervised(
@@ -544,12 +567,6 @@ class ShardCoordinator:
                         telemetry, tracer, job_span,
                     )
                 )
-                if quarantine:
-                    return self._degrade(
-                        plan, config, results, attempts, quarantine,
-                        gpu_of, telemetry, tracer, job_span, recorder,
-                        pool_stats,
-                    )
                 extra_dispatch = {
                     "shard_attempts": dict(attempts),
                     "pool_stats": pool_stats,
@@ -559,14 +576,13 @@ class ShardCoordinator:
                 # shard.run span nests under shard.job.
                 results = []
                 for i in range(self.n_shards):
-                    runner = ShardRunner(
-                        self.graph, plan, i, telemetry=telemetry,
-                        **self._shard_kwargs(
-                            i, config, devices, surcharges, gpu_counts
-                        ),
-                    )
                     try:
-                        results.append(runner.run())
+                        results.append(run_shard_task(
+                            self.graph, plan, i, telemetry=telemetry,
+                            **self._shard_kwargs(
+                                i, config, devices, surcharges, gpu_counts
+                            ),
+                        ))
                     except Exception as exc:
                         exc.add_note(
                             f"raised while running shard {i}/{self.n_shards}"
@@ -578,12 +594,18 @@ class ShardCoordinator:
                 bicliques = merge_shard_results(results)
                 if telemetry is not None:
                     merge_span.set_attr("n_maximal", len(bicliques))
+                    if quarantine:
+                        merge_span.set_attr("partial", True)
 
             counters = Counters()
-            for r in results:
+            placement = [gpu_of[r.shard_id] for r in results]
+            # fleet time under the placement: max per-GPU serial sum
+            per_gpu: dict[int, float] = {}
+            for r, gpu in zip(results, placement):
                 counters.merge(r.counters)
+                per_gpu[gpu] = per_gpu.get(gpu, 0.0) + r.sim_time
+            makespan = max(per_gpu.values(), default=0.0)
             halted = any(r.halted for r in results)
-            makespan = self._makespan(results, gpu_of)
             if telemetry is not None:
                 job_span.set_attr("n_maximal", len(bicliques))
                 job_span.set_attr("halted", halted)
@@ -593,6 +615,12 @@ class ShardCoordinator:
                 registry.counter("shard.fanout").add(self.n_shards)
                 if halted:
                     registry.counter("shard.jobs.halted").add(1)
+            resume = []
+            if quarantine:
+                resume = self._degrade(
+                    plan, attempts, quarantine, telemetry, job_span,
+                    recorder, extra_dispatch,
+                )
 
         return ShardReport(
             plan=plan,
@@ -600,7 +628,7 @@ class ShardCoordinator:
             bicliques=bicliques,
             counters=counters,
             sim_time=makespan,
-            placement=gpu_of,
+            placement=placement,
             halted=halted,
             extras={
                 "per_shard_seconds": [r.sim_time for r in results],
@@ -610,10 +638,12 @@ class ShardCoordinator:
                 "config": config,
                 **extra_dispatch,
             },
+            quarantined=sorted(quarantine),
+            resume=resume,
         )
 
     def _shard_kwargs(self, i, config, devices, surcharges, gpu_counts):
-        """Shard ``i``'s :class:`ShardRunner` keywords (telemetry aside)."""
+        """Shard ``i``'s :func:`run_shard_task` keywords (telemetry aside)."""
         return dict(
             config=config,
             device=devices[i],
@@ -916,45 +946,24 @@ class ShardCoordinator:
                     ).add(dropped)
 
     def _degrade(
-        self, plan, config, completed, attempts, quarantine,
-        gpu_of, telemetry, tracer, job_span, recorder, pool_stats,
-    ) -> PartialResult:
-        """Build the explicit partial outcome of a quarantined run.
+        self, plan, attempts, quarantine, telemetry, job_span, recorder,
+        extras,
+    ) -> list[ResumeHandle]:
+        """Add what a quarantine adds to the report; return its resume
+        handles.
 
-        When telemetry (or a ``flight_dir``) is active, the flight
-        recorder's black box is attached to ``extras["flight"]`` —
-        merged span tree, each worker's last flushed records, supervisor
-        verdicts, and the attempt ledger — and additionally written to
-        ``flight-{job}.json`` under ``self.flight_dir`` when set
-        (``extras["flight_path"]``).
+        ``extras`` gains ``shard_errors`` and, when telemetry (or a
+        ``flight_dir``) is active, the flight recorder's black box as
+        ``extras["flight"]`` — merged span tree, each worker's last
+        flushed records, supervisor verdicts, and the attempt ledger —
+        which is also written to ``flight-{job}.json`` under
+        ``self.flight_dir`` when set (``extras["flight_path"]``).
         """
-        with tracer.span("shard.merge", partial=True) as merge_span:
-            bicliques = merge_shard_results(completed)
-            if telemetry is not None:
-                merge_span.set_attr("n_maximal", len(bicliques))
-        counters = Counters()
-        for r in completed:
-            counters.merge(r.counters)
-        placement = [gpu_of[r.shard_id] for r in completed]
-        makespan = self._makespan(completed, placement)
-        resume = [
-            ResumeHandle(
-                shard_id=i,
-                checkpoint_path=shard_checkpoint_path(
-                    self.checkpoint_dir, plan, i
-                ),
-                attempts=attempts[i],
-                last_error=quarantine[i],
-            )
-            for i in sorted(quarantine)
-        ]
+        extras["shard_errors"] = dict(quarantine)
         if telemetry is not None:
-            registry = telemetry.registry
-            registry.counter("shard.jobs").add(1)
-            registry.counter("supervisor.jobs_degraded").add(1)
+            telemetry.registry.counter("supervisor.jobs_degraded").add(1)
             job_span.set_attr("degraded", True)
             job_span.set_attr("quarantined", sorted(quarantine))
-        flight_extras: dict = {}
         if recorder is not None:
             if telemetry is not None and hasattr(job_span, "to_dict"):
                 # Still open (no end_s yet) — recorded so the flight's
@@ -965,39 +974,26 @@ class ShardCoordinator:
                 quarantined=sorted(quarantine),
                 shard_errors=dict(quarantine),
                 shard_attempts=dict(attempts),
-                pool_stats=pool_stats,
+                pool_stats=extras["pool_stats"],
             )
-            flight_extras["flight"] = flight
+            extras["flight"] = flight
             if self.flight_dir is not None:
                 try:
-                    flight_extras["flight_path"] = write_flight_record(
+                    extras["flight_path"] = write_flight_record(
                         self.flight_dir, flight
                     )
                 except OSError:
                     # The black box must never turn a degraded run into
                     # a failed one; the in-memory copy is still attached.
                     pass
-        return PartialResult(
-            plan=plan,
-            completed=completed,
-            quarantined=sorted(quarantine),
-            bicliques=bicliques,
-            counters=counters,
-            sim_time=makespan,
-            placement=placement,
-            resume=resume,
-            halted=any(r.halted for r in completed),
-            extras={
-                "per_shard_seconds": [r.sim_time for r in completed],
-                "imbalance": plan.imbalance(),
-                "plan_signature": plan.signature(),
-                "resumed_shards": [
-                    r.shard_id for r in completed if r.resumed
-                ],
-                "config": config,
-                "shard_attempts": dict(attempts),
-                "shard_errors": dict(quarantine),
-                "pool_stats": pool_stats,
-                **flight_extras,
-            },
-        )
+        return [
+            ResumeHandle(
+                shard_id=i,
+                checkpoint_path=shard_checkpoint_path(
+                    self.checkpoint_dir, plan, i
+                ),
+                attempts=attempts[i],
+                last_error=quarantine[i],
+            )
+            for i in sorted(quarantine)
+        ]

@@ -5,12 +5,13 @@ exhausts a shard's retry budget (the shard's worker keeps dying or a
 poison input keeps crashing it), failing the whole job would throw away
 every shard that *did* finish — and silently returning the merged
 survivors would be worse, because a caller could mistake a partial
-enumeration for the full set.  The middle path is an explicit
-:class:`PartialResult`: the completed shards merged (still
-duplicate-free — ownership disjointness is per-shard, so a subset of
-shards merges exactly like the full set), the quarantined shard ids,
-and one :class:`ResumeHandle` per quarantined shard pointing at the
-plan-signature-scoped checkpoint a later run can pick up.
+enumeration for the full set.  The middle path is a
+:class:`~repro.sharding.ShardReport` with ``is_partial`` set: the
+completed shards merged (still duplicate-free — ownership disjointness
+is per-shard, so a subset of shards merges exactly like the full set),
+the quarantined shard ids, and one :class:`ResumeHandle` per
+quarantined shard pointing at the plan-signature-scoped checkpoint a
+later run can pick up.
 
 Layers that must not hand back a partial set where a full one was
 promised (the one-shot API returns a plain ``list``) raise
@@ -20,13 +21,9 @@ that onto the ``degraded`` job status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.bicliques import Biclique, Counters
-from .plan import ShardPlan
-from .runner import ShardResult
-
-__all__ = ["DegradedShardRun", "PartialResult", "ResumeHandle"]
+__all__ = ["DegradedShardRun", "ResumeHandle"]
 
 
 @dataclass(frozen=True)
@@ -46,59 +43,16 @@ class ResumeHandle:
     last_error: str
 
 
-@dataclass
-class PartialResult:
-    """Outcome of a sharded run that lost shards to quarantine.
-
-    Mirrors :class:`~repro.sharding.ShardReport` closely enough for
-    reporting code (``bicliques``/``counters``/``sim_time``/``extras``)
-    but is a distinct type with ``is_partial = True`` — nothing
-    downstream can treat it as a complete enumeration by accident.
-    ``bicliques`` is the merged union of the **completed** shards only.
-    """
-
-    is_partial = True
-
-    plan: ShardPlan
-    completed: list[ShardResult]
-    quarantined: list[int]
-    bicliques: list[Biclique]
-    counters: Counters
-    #: makespan over the completed shards under the chosen placement
-    sim_time: float
-    #: GPU index per completed shard (same order as ``completed``)
-    placement: list[int]
-    resume: list[ResumeHandle]
-    halted: bool = False
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def n_maximal(self) -> int:
-        return len(self.bicliques)
-
-    @property
-    def completed_shards(self) -> list[int]:
-        return sorted(r.shard_id for r in self.completed)
-
-    def describe(self) -> str:
-        """One human line for logs and the CLI."""
-        return (
-            f"degraded: {self.n_maximal} bicliques from shards "
-            f"{self.completed_shards} of {self.plan.n_shards}; "
-            f"quarantined {sorted(self.quarantined)}"
-        )
-
-
 class DegradedShardRun(RuntimeError):
-    """A sharded run completed only partially (see :class:`PartialResult`).
+    """A sharded run completed only partially.
 
     Raised by surfaces whose contract is the *complete* enumeration
-    (``enumerate_maximal_bicliques``); carries the partial result so a
-    caller that can live with a partial set still gets it, along with
-    the resume handles.
+    (``enumerate_maximal_bicliques``); carries the partial
+    :class:`~repro.sharding.ShardReport` so a caller that can live with
+    a partial set still gets it, along with the resume handles.
     """
 
-    def __init__(self, partial: PartialResult) -> None:
+    def __init__(self, partial) -> None:
         super().__init__(
             f"{partial.describe()} — re-run with the same checkpoint "
             f"directory to resume the quarantined shards"

@@ -84,10 +84,13 @@ def _gaps(side: tuple, lcp: int, ordinal: int, name: str) -> list:
     """Delta words of ``side[lcp:]``, each against its predecessor."""
     before = side[lcp - 1:-1] if lcp else (-1,) + side[:-1]
     gaps = list(map(operator.sub, side[lcp:], before))
-    if gaps and min(gaps) < 1:
+    # side[-1] - before[0] bounds every gap of an increasing side, so
+    # the max() scan runs only when a word could overflow
+    if gaps and (min(gaps) < 1 or (side[-1] - before[0] > 0xFFFFFFFF
+                                   and max(gaps) > 0xFFFFFFFF)):
         raise ValueError(
             f"record {ordinal}: {name} side {side!r} is not strictly "
-            f"increasing non-negative vertex ids"
+            f"increasing non-negative vertex ids with deltas below 2**32"
         )
     return gaps
 
@@ -116,7 +119,8 @@ class PathDeltaEncoder:
         """Encode one record; returns its ordinal.
 
         Raises :class:`ValueError` (and encodes nothing) when a side is
-        not strictly increasing non-negative ints — a delta word < 1.
+        not strictly increasing non-negative ints whose delta words fit
+        in ``[1, 2**32)``.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")

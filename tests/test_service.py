@@ -1197,17 +1197,17 @@ class TestTunedConfigService:
 from repro.core import Counters  # noqa: E402
 from repro.sharding import (  # noqa: E402
     DegradedShardRun,
-    PartialResult,
     ResumeHandle,
     ShardPlan,
+    ShardReport,
 )
 
 
 def _fake_partial(graph, quarantined=(2,)):
-    return PartialResult(
-        plan=ShardPlan.build(graph, 4), completed=[],
-        quarantined=list(quarantined), bicliques=[], counters=Counters(),
-        sim_time=0.0, placement=[],
+    return ShardReport(
+        plan=ShardPlan.build(graph, 4), shards=[], bicliques=[],
+        counters=Counters(), sim_time=0.0, placement=[],
+        quarantined=list(quarantined),
         resume=[ResumeHandle(q, None, 3, "WorkerCrashError: kill -9")
                 for q in quarantined],
     )

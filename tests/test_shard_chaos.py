@@ -5,7 +5,8 @@ process pool must survive the SIGKILL of any single shard worker and
 still produce the exact merged set of an undisturbed run — via restart
 and, when a checkpoint exists, mid-run resume.  When a shard keeps dying
 past its retry budget, the run must degrade *explicitly*: a
-:class:`PartialResult` naming every completed and quarantined shard,
+:class:`ShardReport` with ``is_partial`` set, naming every completed
+and quarantined shard,
 never a silently short list.
 
 Kills are real (``os.kill(getpid(), SIGKILL)`` inside the spawned
@@ -22,11 +23,11 @@ from repro.gmbe import GMBEConfig, gmbe_gpu
 from repro.graph import random_bipartite
 from repro.sharding import (
     DegradedShardRun,
-    PartialResult,
     ResumeHandle,
     ShardCoordinator,
     ShardPlan,
-    ShardRunner,
+    ShardReport,
+    run_shard_task,
 )
 
 CFG = GMBEConfig()
@@ -105,10 +106,10 @@ class TestCrashRecovery:
         SIGKILL its first process-pool attempt: the retry must *resume*
         from the snapshot — not restart — and merge bit-identically."""
         plan = ShardPlan.build(graph, 4)
-        halted = ShardRunner(
+        halted = run_shard_task(
             graph, plan, 1, config=CFG, checkpoint_dir=str(tmp_path),
             checkpoint_every=4, halt_after_tasks=6,
-        ).run()
+        )
         assert halted.halted  # the snapshot really is mid-run
         report = ShardCoordinator(
             graph, 4, config=CFG, pool="process", n_workers=2,
@@ -124,17 +125,19 @@ class TestQuarantine:
     def test_poison_shard_degrades_to_partial(self, graph, reference,
                                               tmp_path):
         """A shard that dies on every attempt is quarantined after the
-        budget; the run returns an explicit PartialResult with the full
-        completed/quarantined inventory and per-shard resume handles."""
+        budget; the run returns an explicitly partial ShardReport with
+        the full completed/quarantined inventory and per-shard resume
+        handles."""
         partial = ShardCoordinator(
             graph, 4, config=CFG, pool="process", n_workers=2,
             checkpoint_dir=str(tmp_path),
             chaos_kills={2: (99, 0.0)}, max_shard_attempts=2,
         ).run()
-        assert isinstance(partial, PartialResult)
+        assert isinstance(partial, ShardReport)
         assert partial.is_partial is True
         assert partial.quarantined == [2]
         assert partial.completed_shards == [0, 1, 3]
+        assert [r.shard_id for r in partial.shards] == [0, 1, 3]
         # the survivors' merge is still duplicate-free and a strict
         # subset of the full enumeration
         assert partial.bicliques == sorted(partial.bicliques)
@@ -163,11 +166,11 @@ class TestQuarantine:
 
     def test_api_raises_degraded_with_partial_attached(self, graph,
                                                        monkeypatch):
-        """The one-shot API promises the complete set: a PartialResult
+        """The one-shot API promises the complete set: a partial report
         surfaces as DegradedShardRun carrying it, never a short list."""
-        fake = PartialResult(
-            plan=ShardPlan.build(graph, 4), completed=[], quarantined=[2],
-            bicliques=[], counters=None, sim_time=0.0, placement=[],
+        fake = ShardReport(
+            plan=ShardPlan.build(graph, 4), shards=[], bicliques=[],
+            counters=None, sim_time=0.0, placement=[], quarantined=[2],
             resume=[ResumeHandle(2, None, 3, "boom")],
         )
         monkeypatch.setattr(ShardCoordinator, "run", lambda self: fake)

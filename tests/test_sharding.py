@@ -7,6 +7,7 @@ duplicates by construction, never by deduplication.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from repro.sharding import (
     ShardMergeError,
     ShardPlan,
     ShardResult,
-    ShardRunner,
     merge_shard_results,
     root_weights,
+    run_shard_task,
 )
+from repro.sharding.runner import shard_checkpoint_path
 
 CFG = GMBEConfig()
 
@@ -154,12 +156,19 @@ class TestUnionInvariant:
         assert report.counters.non_maximal == single.counters.non_maximal
         assert report.counters.nodes_generated == single.counters.nodes_generated
 
-    def test_runner_pins_plan_order(self, graph):
+    def test_runner_pins_plan_order(self, graph, monkeypatch):
+        import repro.sharding.runner as runner_mod
+
+        orders = []
+
+        def spy(*args, config, **kwargs):
+            orders.append(config.order)
+            return gmbe_gpu(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "gmbe_gpu", spy)
         plan = ShardPlan.build(graph, 2, order="degree")
-        runner = ShardRunner(
-            graph, plan, 0, config=CFG.with_(order="none")
-        )
-        assert runner.config.order == "degree"
+        run_shard_task(graph, plan, 0, config=CFG.with_(order="none"))
+        assert orders == ["degree"]
 
     def test_cluster_placement_same_results(self, graph, reference):
         cluster = ClusterSpec(n_nodes=2, gpus_per_node=1)
@@ -250,20 +259,35 @@ class TestCrashResume:
         assert report.bicliques == reference
         assert report.shards[2].extras.get("tasks_requeued", 0) >= 0
 
+    @pytest.mark.parametrize("name, mapping, pool", [
+        ("fault_plans", {5: FaultPlan(1, p_sm_crash=0.1)}, "thread"),
+        ("fault_plans", {-1: FaultPlan(1, p_sm_crash=0.1)}, "thread"),
+        ("fault_plans", {"0": FaultPlan(1, p_sm_crash=0.1)}, "thread"),
+        ("halt_after_tasks", {5: 1}, "thread"),
+        ("chaos_kills", {7: (1, 0.0)}, "process"),
+    ], ids=["fault-5", "fault-neg", "fault-str", "halt-5", "chaos-7"])
+    def test_per_shard_keys_must_name_a_shard(self, graph, name, mapping,
+                                              pool):
+        (key,) = mapping
+        with pytest.raises(
+            ValueError, match=rf"{name} key {re.escape(repr(key))}.*n_shards=2"
+        ):
+            ShardCoordinator(graph, 2, pool=pool, **{name: mapping})
+
     def test_checkpoints_are_plan_scoped(self, graph, tmp_path):
         plan4 = ShardPlan.build(graph, 4)
         plan2 = ShardPlan.build(graph, 2)
-        r4 = ShardRunner(graph, plan4, 0, checkpoint_dir=str(tmp_path))
-        r2 = ShardRunner(graph, plan2, 0, checkpoint_dir=str(tmp_path))
-        assert r4.checkpoint_path != r2.checkpoint_path
+        assert shard_checkpoint_path(str(tmp_path), plan4, 0) != (
+            shard_checkpoint_path(str(tmp_path), plan2, 0)
+        )
 
     def test_worker_crash_carries_shard_label(self, graph, monkeypatch):
         import repro.sharding.coordinator as coord_mod
 
-        def boom(self):
+        def boom(*args, **kwargs):
             raise RuntimeError("synthetic shard failure")
 
-        monkeypatch.setattr(coord_mod.ShardRunner, "run", boom)
+        monkeypatch.setattr(coord_mod, "run_shard_task", boom)
         with pytest.raises(RuntimeError, match="synthetic") as excinfo:
             ShardCoordinator(graph, 3).run()
         notes = getattr(excinfo.value, "__notes__", [])
@@ -360,6 +384,61 @@ class TestIntegration:
         counters = telemetry.registry.snapshot()
         assert counters["shard.jobs"] == 1
         assert counters["shard.runs"] == 2
+
+    def test_thread_and_process_dispatch_agree(self):
+        """Both pools run the same per-shard entry: same answer, same
+        counters, and the same job → run → kernel span tree."""
+        from dataclasses import asdict
+
+        from repro.telemetry import RingSink, Telemetry
+
+        g = random_bipartite(20, 16, 0.25, seed=5)
+        runs = {}
+        for pool in ("thread", "process"):
+            sink = RingSink(capacity=4096)
+            telemetry = Telemetry(sinks=[sink])
+            report = ShardCoordinator(
+                g, 2, pool=pool, telemetry=telemetry
+            ).run()
+            telemetry.flush()
+            spans = [r for r in sink.records() if r.get("type") == "span"]
+            runs[pool] = (report, spans, telemetry.registry.snapshot())
+
+        (thread, t_spans, t_reg), (proc, p_spans, p_reg) = (
+            runs["thread"], runs["process"]
+        )
+        assert thread.bicliques == proc.bicliques
+        assert asdict(thread.counters) == asdict(proc.counters)
+        for key in ("per_shard_seconds", "resumed_shards"):
+            assert thread.extras[key] == proc.extras[key]
+
+        def tree(spans):
+            (job,) = [s for s in spans if s["name"] == "shard.job"]
+            shard_runs = sorted(
+                (s for s in spans if s["name"] == "shard.run"),
+                key=lambda s: s["attrs"]["shard"],
+            )
+            assert [s["parent_id"] for s in shard_runs] == (
+                [job["span_id"]] * 2
+            )
+            for run in shard_runs:
+                kernels = [
+                    s for s in spans if s["name"] == "sim.kernel"
+                    and s["parent_id"] == run["span_id"]
+                ]
+                assert len(kernels) == 1
+            return [
+                (s["attrs"]["shard"], s["attrs"]["n_maximal"])
+                for s in shard_runs
+            ]
+
+        assert tree(t_spans) == tree(p_spans) == [
+            (0, thread.shards[0].n_maximal), (1, thread.shards[1].n_maximal)
+        ]
+        for name in ("shard.runs", "shard.jobs", "shard.fanout"):
+            assert t_reg[name] == p_reg[name]
+        for name in ("shard.owned_roots", "shard.sim_seconds"):
+            assert t_reg[name]["count"] == p_reg[name]["count"] == 2
 
 
 # ----------------------------------------------------------------------

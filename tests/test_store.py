@@ -234,6 +234,7 @@ class TestStoredResultSet:
         ((1, 1), (2,), "left"),    # repeated vertex
         ((-1,), (2,), "left"),     # negative id
         ((0, 4), (5, 5), "right"),
+        ((0, 2**33), (1,), "left"),  # delta word overflows uint32
     ])
     def test_writer_rejects_malformed_sides(self, left, right, side):
         writer = ResultStoreWriter()
