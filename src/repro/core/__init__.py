@@ -15,7 +15,7 @@ from .pmbe import pmbe
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".batch": (
         "BatchEmissions BatchMember BatchStats batch_gamma_matches "
-        "batch_intersect batch_popcount batch_subset_mask lane_state_bytes "
+        "batch_intersect batch_popcount lane_state_bytes "
         "ragged_split ragged_stack run_batch"
     ),
     ".bicliques": (

@@ -23,7 +23,10 @@ telemetry phase attribution are unaffected by batching (DESIGN.md §10).
 
 Each round costs a fixed number of numpy calls however many lanes are
 live, including the decode of every maximal node the round found, so
-the kernel's ``batch_tasks="auto"`` runs up to 128 lanes.  Memory stays
+the kernel's ``batch_tasks="auto"`` runs up to 128 lanes, and a lane
+whose member is done takes over a root-level child forked off a member
+still running (the host analog of the paper's one-level split, Alg. 4),
+so a batch no longer waits on its longest member.  Memory stays
 flat at that width: a batch's emissions come back as one ragged
 :class:`BatchEmissions` buffer (no per-biclique arrays until a consumer
 slices them), per-lane count state uses the narrowest dtype the mask
@@ -32,10 +35,9 @@ width allows, and the kernel admits lanes only while
 budget.
 
 Primitives (:func:`batch_intersect`, :func:`batch_popcount`,
-:func:`batch_subset_mask`, :func:`ragged_stack`/:func:`ragged_split`)
-are exposed separately: the kernel's batched maximality check and the
-tests build on them, and they are the natural substrate for a later
-numba/cython backend.
+:func:`ragged_stack`/:func:`ragged_split`) are exposed separately: the
+kernel's batched maximality check and the tests build on them, and they
+are the natural substrate for a later numba/cython backend.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "batch_gamma_matches",
     "batch_intersect",
     "batch_popcount",
-    "batch_subset_mask",
     "lane_state_bytes",
     "ragged_split",
     "ragged_stack",
@@ -74,6 +75,12 @@ _INF = np.iinfo(_STATE).max
 _PAD = -1
 #: Undo-stack depth a batch starts with before growing on demand.
 _FIRST_LEVELS = 8
+#: ``Counters`` fields a lane accumulates by sum (``peak_stack_depth``
+#: folds by max).
+_SUMMED = (
+    "nodes_generated", "maximal", "non_maximal", "pruned", "set_op_work",
+    "simt_cycles",
+)
 
 
 # ----------------------------------------------------------------------
@@ -94,15 +101,6 @@ def batch_popcount(words: np.ndarray) -> np.ndarray:
     :func:`repro.core.bitset.popcount`.
     """
     return popcount_words(words).sum(axis=-1, dtype=np.int64)
-
-
-def batch_subset_mask(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Per-row boolean: is ``rows[i]`` a subset of ``masks[i]``?
-
-    ``masks`` broadcasts against ``rows`` over the leading axes.
-    """
-    sub = np.bitwise_and(rows, np.bitwise_not(masks))
-    return ~np.any(sub != 0, axis=-1)
 
 
 def ragged_stack(
@@ -306,6 +304,7 @@ def run_batch(
     *,
     prune: bool = True,
     stats: BatchStats | None = None,
+    lanes: int | None = None,
 ) -> BatchEmissions:
     """Enumerate every member's subtree in vectorized lockstep.
 
@@ -315,12 +314,19 @@ def run_batch(
     are bit-identical to running it through
     :func:`repro.gmbe.host.run_task_with_node_buffer` alone; only the
     Python-level work is amortized across the batch.
+
+    ``lanes`` is the lockstep width (default ``len(members)``; never
+    fewer than the members with candidates).  A free lane, one beyond
+    the members or one whose work is done, takes over a maximal
+    root-level child forked off a member still running, so a batch no
+    longer waits on its longest member (DESIGN.md §10).
     """
     live_ids = [i for i, m in enumerate(members) if len(m.cands)]
     if not live_ids:
         return BatchEmissions.empty(len(members))
     live = [members[i] for i in live_ids]
-    k = len(live)
+    n = len(live)
+    k = max(n, len(members) if lanes is None else lanes)
     w_per = np.array([m.universe.n_words for m in live], dtype=np.int64)
     s_per = np.array([len(m.universe.scope) for m in live], dtype=np.int64)
     c_per = np.array([len(m.cands) for m in live], dtype=np.int64)
@@ -337,12 +343,27 @@ def run_batch(
     # Local-neighbourhood sizes never exceed a universe's bit count.
     nls_dtype = np.min_scalar_type(WORD_BITS * w_max)
 
-    # Stacked state, padded rectangular.  Padding rows/slots are inert:
-    # zero scope rows count 0 < |L'| (L' nonempty at every push), and
-    # padded candidate slots carry the _PAD state, never INF.
-    scope_rows = np.zeros((k, s_max, w_max), dtype=np.uint64)
-    cand_rows = np.zeros((k, c_max), dtype=np.min_scalar_type(s_max))
-    cand_vids = np.zeros((k, c_max), dtype=np.int32)
+    # Static state, one row per member, padded rectangular.  Scope rows
+    # are stored candidate-first (candidate j is row j, the rest of the
+    # scope follows), so a round's candidate counts are a slice of its
+    # scope counts.  Padding rows count 0 < |L'| (L' is nonempty at
+    # every push), so they never look full.
+    scope_rows = np.zeros((n, s_max, w_max), dtype=np.uint64)
+    cand_vids = np.zeros((n, c_max), dtype=np.int32)
+    # Emission decode tables: a lane's mask bit b is U id
+    # left_ids[left_base[member] + b]; its root R is the first
+    # r_per[member] entries of root_right[member].
+    left_ids = np.concatenate([m.universe.left for m in live]).astype(
+        np.int32, copy=False
+    )
+    left_base = np.zeros(n, dtype=np.int64)
+    np.cumsum([m.universe.n_bits for m in live[:-1]], out=left_base[1:])
+    root_right = np.zeros((n, int(r_per.max())), dtype=np.int32)
+    root_right_on = np.arange(root_right.shape[1]) < r_per[:, None]
+
+    # Dynamic state, one row per lane.  Padded candidate slots carry the
+    # _PAD state, never INF.  Lane t < n starts as member t's root lane
+    # (base depth 0); the rest start free.
     cand_state = np.full((k, c_max), _PAD, dtype=_STATE)
     nls = np.zeros((k, c_max), dtype=nls_dtype)
     # Per-depth undo stacks start shallow and double on demand up to
@@ -354,22 +375,24 @@ def run_batch(
     trav_stack = np.zeros((k, levels), dtype=np.intp)
     join_stack = np.zeros((k, levels), dtype=np.int64)
     depth = np.zeros(k, dtype=_STATE)
-    right_size = r_per.copy()
-    # Emission decode tables: a lane's mask bit b is U id
-    # left_ids[left_base[lane] + b]; its root R is the first r_per[lane]
-    # entries of root_right[lane].
-    left_ids = np.concatenate([m.universe.left for m in live]).astype(
-        np.int32, copy=False
-    )
-    left_base = np.zeros(k, dtype=np.int64)
-    np.cumsum([m.universe.n_bits for m in live[:-1]], out=left_base[1:])
-    root_right = np.zeros((k, int(r_per.max())), dtype=np.int32)
-    root_right_on = np.arange(root_right.shape[1]) < r_per[:, None]
+    base = np.zeros(k, dtype=_STATE)
+    right_size = np.zeros(k, dtype=np.int64)
+    right_size[:n] = r_per
+    owner = np.zeros(k, dtype=np.intp)
+    owner[:n] = np.arange(n)
+    # The root-level child a lane is inside: emissions sort by
+    # (member, child) to restore each member's traversal order.
+    child = np.full(k, -1, dtype=np.int64)
+    active = np.zeros(k, dtype=bool)
+    active[:n] = True
 
     for t, m in enumerate(live):
         u = m.universe
-        scope_rows[t, : s_per[t], : w_per[t]] = u.rows
-        cand_rows[t, : c_per[t]] = u.row_index(m.cands)
+        rows = u.row_index(m.cands)
+        rest = np.setdiff1d(np.arange(s_per[t]), rows, assume_unique=True)
+        scope_rows[t, : s_per[t], : w_per[t]] = u.rows[
+            np.concatenate([rows, rest])
+        ]
         cand_vids[t, : c_per[t]] = m.cands
         cand_state[t, : c_per[t]] = _INF
         nls[t, : c_per[t]] = m.counts
@@ -378,24 +401,24 @@ def run_batch(
         )
         root_right[t, : r_per[t]] = m.right
 
-    # Per-task accumulators, folded into each member's Counters at the
-    # end — identical totals to the sequential path's incremental adds.
-    acc_work = np.zeros(k, dtype=np.int64)
-    acc_simt = np.zeros(k, dtype=np.int64)
-    acc_nodes = np.zeros(k, dtype=np.int64)
-    acc_maximal = np.zeros(k, dtype=np.int64)
-    acc_nonmax = np.zeros(k, dtype=np.int64)
-    acc_pruned = np.zeros(k, dtype=np.int64)
+    # Per-lane accumulators, folded into the lane's member when it
+    # retires and into each member's Counters at the end — identical
+    # totals to the sequential path's incremental adds.
+    acc = np.zeros((len(_SUMMED), k), dtype=np.int64)
+    acc_nodes, acc_maximal, acc_nonmax, acc_pruned, acc_work, acc_simt = acc
     acc_peak = np.zeros(k, dtype=np.int64)
+    totals = np.zeros((len(_SUMMED), n), dtype=np.int64)
+    peaks = np.zeros(n, dtype=np.int64)
     # Per-round emission pieces, concatenated once at the end.
-    out_lane: list[np.ndarray] = []
+    out_member: list[np.ndarray] = []
+    out_child: list[np.ndarray] = []
     out_left: list[np.ndarray] = []
     out_left_len: list[np.ndarray] = []
     out_right: list[np.ndarray] = []
     out_right_len: list[np.ndarray] = []
 
     def pop_rows(rows: np.ndarray) -> None:
-        """Vectorized :meth:`NodeBuffer.pop` over task rows ``rows``."""
+        """Vectorized :meth:`NodeBuffer.pop` over lanes ``rows``."""
         d = depth[rows]
         cs = cand_state[rows]
         # Candidates that joined R here, and exclusions made while this
@@ -414,18 +437,26 @@ def run_batch(
         right_size[rows] -= join_stack[rows, d]
         depth[rows] = d - 1
 
-    active = np.ones(k, dtype=bool)
+    def retire(rows: np.ndarray) -> None:
+        """Free lanes ``rows``, folding their sums into their members."""
+        active[rows] = False
+        who = owner[rows]
+        np.add.at(totals, (slice(None), who), acc[:, rows])
+        np.maximum.at(peaks, who, acc_peak[rows])
+        acc[:, rows] = 0
+        acc_peak[rows] = 0
+
     while True:
         alive = np.nonzero(active)[0]
         if len(alive) == 0:
             break
         if stats is not None:
             stats.rounds += 1
-            stats.tasks_per_round.append(len(alive))
+            stats.tasks_per_round.append(len(np.unique(owner[alive])))
 
-        # Phase A — control flow: find each live task's next candidate
+        # Phase A — control flow: find each live lane's next candidate
         # (Alg. 2 line #6), popping exhausted nodes until one is found
-        # or the task finishes at the root.
+        # or the lane is back at its base depth, where it retires.
         push_t: list[np.ndarray] = []
         push_i: list[np.ndarray] = []
         pending_rows = alive
@@ -439,15 +470,17 @@ def run_batch(
             rest = pending_rows[~has]
             if len(rest) == 0:
                 break
-            done = rest[depth[rest] == 0]
-            active[done] = False
-            pending_rows = rest[depth[rest] > 0]
+            done = depth[rest] == base[rest]
+            if done.any():
+                retire(rest[done])
+            pending_rows = rest[~done]
             if len(pending_rows):
                 pop_rows(pending_rows)
         if not push_t:
             continue
         P = np.concatenate(push_t)
         ci = np.concatenate(push_i)
+        M = owner[P]
         p = len(P)
         nd = depth[P] + 1
         top = int(nd.max())
@@ -459,16 +492,15 @@ def run_batch(
             )
 
         # Phase B — batched push (Alg. 2 lines #8–14): one stacked AND +
-        # popcount serves every task's node generation and maximality
+        # popcount serves every lane's node generation and maximality
         # check this round.
-        vrow = cand_rows[P, ci]
-        new_mask = masks[P, depth[P]] & scope_rows[P, vrow]
+        new_mask = masks[P, depth[P]] & scope_rows[M, ci]
         masks[P, nd] = new_mask
-        scoped = scope_rows[P]
+        scoped = scope_rows[M]
         scoped &= new_mask[:, None, :]
         counts_scope = popcount_words(scoped).sum(axis=-1, dtype=nls_dtype)
         n_left = batch_popcount(new_mask)
-        counts = counts_scope[np.arange(p)[:, None], cand_rows[P]]
+        counts = counts_scope[:, :c_max]
 
         cs = cand_state[P]
         cur = cs == _INF
@@ -493,24 +525,24 @@ def run_batch(
         depth[P] = nd
         acc_nodes[P] += 1
         acc_peak[P] = np.maximum(acc_peak[P], nd)
+        root_child = nd == 1
+        child[P[root_child]] += 1
 
-        # Maximality: |Γ(L')| == |R'| over each task's true scope rows
+        # Maximality: |Γ(L')| == |R'| over each member's true scope rows
         # (padded rows count 0 < n_left, so they never match).
         n_match = (counts_scope == n_left[:, None]).sum(axis=1)
         maximal = n_match == right_size[P]
         acc_maximal[P] += maximal
         acc_nonmax[P] += ~maximal
 
-        # Per-task cost charges, identical to the sequential bitset path:
+        # Per-lane cost charges, identical to the sequential bitset path:
         # mask AND (1 row), candidate counting pass (cur_n rows), and the
-        # maximality scan (scope rows) — each over the task's own words.
-        w = w_per[P]
-        acc_work[P] += w + cur_n * w + s_per[P] * w
+        # maximality scan (scope rows) — each over the member's own words.
+        w = w_per[M]
+        s = s_per[M]
+        acc_work[P] += w + cur_n * w + s * w
         acc_simt[P] += (
-            (w + 31) // 32
-            + (cur_n * w + 31) // 32
-            + (s_per[P] * w + 31) // 32
-            + 3
+            (w + 31) // 32 + (cur_n * w + 31) // 32 + (s * w + 31) // 32 + 3
         )
 
         # Phase C — decode every maximal node of the round at once; non-
@@ -519,49 +551,74 @@ def run_batch(
         hit = np.nonzero(maximal)[0]
         if len(hit):
             T = P[hit]
+            MT = M[hit]
             bits = np.unpackbits(
                 new_mask[hit].astype("<u8", copy=False).view(np.uint8),
                 axis=1,
                 bitorder="little",
             )
             row, pos = np.nonzero(bits)
-            out_left.append(left_ids[left_base[T][row] + pos])
+            out_left.append(left_ids[left_base[MT][row] + pos])
             out_left_len.append(np.bincount(row, minlength=len(T)))
             # R' = root R ∪ candidates joined along the current path.
             st = cand_state[T]
             j_row, j_col = np.nonzero((st >= 1) & (st <= depth[T][:, None]))
-            r_row, r_col = np.nonzero(root_right_on[T])
+            r_row, r_col = np.nonzero(root_right_on[MT])
             rows = np.concatenate([r_row, j_row])
             vids = np.concatenate(
-                [root_right[T[r_row], r_col], cand_vids[T[j_row], j_col]]
+                [root_right[MT[r_row], r_col], cand_vids[MT[j_row], j_col]]
             )
             out_right.append(vids[np.lexsort((vids, rows))])
             out_right_len.append(right_size[T])
-            out_lane.append(T)
-        nonmax_rows = P[~maximal]
-        if len(nonmax_rows):
-            pop_rows(nonmax_rows)
+            out_member.append(MT)
+            out_child.append(child[T])
+        undo = P[~maximal]
 
-    for t, m in enumerate(live):
+        # Phase D — fork: a maximal root-level child that still has a
+        # candidate moves, with its whole dynamic row, into a free lane
+        # based at depth 1, and its root lane pops depth 1 now instead
+        # of after the subtree.  Every marker the subtree sets is lifted
+        # before the walk is back at depth 1, so the early pop sees the
+        # state the sequential walk's later pop sees.  Deeper undo
+        # levels are written before they are read, so none are copied.
+        fork = hit[root_child[hit]]
+        if len(fork):
+            free = np.flatnonzero(~active)
+            if len(free):
+                fork = fork[(cs[fork] == _INF).any(axis=1)][: len(free)]
+                src, dst = P[fork], free[: len(fork)]
+                cand_state[dst] = cand_state[src]
+                nls[dst] = nls[src]
+                masks[dst, 1] = masks[src, 1]
+                depth[dst] = base[dst] = 1
+                right_size[dst] = right_size[src]
+                owner[dst] = owner[src]
+                child[dst] = child[src]
+                active[dst] = True
+                undo = np.concatenate([undo, src])
+        if len(undo):
+            pop_rows(undo)
+
+    for m, sums, peak in zip(live, totals.T.tolist(), peaks.tolist()):
         c = m.counters
-        c.nodes_generated += int(acc_nodes[t])
-        c.maximal += int(acc_maximal[t])
-        c.non_maximal += int(acc_nonmax[t])
-        c.pruned += int(acc_pruned[t])
-        c.set_op_work += int(acc_work[t])
-        c.simt_cycles += int(acc_simt[t])
-        c.peak_stack_depth = max(c.peak_stack_depth, int(acc_peak[t]))
+        for name, value in zip(_SUMMED, sums):
+            setattr(c, name, getattr(c, name) + value)
+        c.peak_stack_depth = max(c.peak_stack_depth, peak)
 
-    if not out_lane:
+    if not out_member:
         return BatchEmissions.empty(len(members))
-    owner = np.asarray(live_ids, dtype=np.int64)[np.concatenate(out_lane)]
-    per_member = np.bincount(owner, minlength=len(members))
+    owner_ids = np.asarray(live_ids, dtype=np.int64)[np.concatenate(out_member)]
+    children = np.concatenate(out_child)
+    # Stable sort on (member, root-level child): within one child the
+    # emissions come from one lane at a time, in round order.
+    key = owner_ids * (int(children.max()) + 1) + children
+    per_member = np.bincount(owner_ids, minlength=len(members))
     return BatchEmissions(
         np.concatenate(out_left),
         _offsets(np.concatenate(out_left_len)),
         np.concatenate(out_right),
         _offsets(np.concatenate(out_right_len)),
-        np.argsort(owner, kind="stable"),
+        np.argsort(key, kind="stable"),
         _offsets(per_member),
     )
 

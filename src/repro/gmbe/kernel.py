@@ -553,9 +553,12 @@ class _Kernel:
                 device_id=device_id,
             )
 
-    def _admit_batch(self, seed: SubtreeTask, device_id: int) -> list:
+    def _admit_batch(
+        self, seed: SubtreeTask, device_id: int
+    ) -> tuple[list, int]:
         """``seed`` plus every peer that keeps each padded lane array
-        within ``_BATCH_ARRAY_BYTES``."""
+        within ``_BATCH_ARRAY_BYTES``, and the lockstep width: the most
+        lanes, at most the batch limit, those dimensions fit in it."""
         members = [seed]
         dims = _lane_dims(seed)
         for t in self._batch_peers(seed, members, device_id):
@@ -563,14 +566,13 @@ class _Kernel:
             if lane_state_bytes(len(members) + 1, *grown) <= _BATCH_ARRAY_BYTES:
                 dims = grown
                 members.append(t)
-        return members
+        fit = _BATCH_ARRAY_BYTES // lane_state_bytes(1, *dims)
+        return members, max(len(members), min(self.batch_limit, fit))
 
     def _compute_batch(self, seed: SubtreeTask, device_id: int) -> None:
         duration = self.duration
-        slots = [
-            _BatchSlot(task=m, counters=Counters())
-            for m in self._admit_batch(seed, device_id)
-        ]
+        admitted, lanes = self._admit_batch(seed, device_id)
+        slots = [_BatchSlot(task=m, counters=Counters()) for m in admitted]
         checks = [s for s in slots if s.task.needs_check]
         if checks:
             oks = batch_gamma_matches(
@@ -592,7 +594,7 @@ class _Kernel:
             [BatchMember(s.task.universe, s.task.left, s.task.right,
                          s.task.cands, s.task.counts, s.counters)
              for s in runs],
-            prune=self.config.prune, stats=self.batch_stats,
+            prune=self.config.prune, stats=self.batch_stats, lanes=lanes,
         )
         if self.ledger.batch_labels is not None:
             emissions = emissions.relabeled(self.ledger.batch_labels)

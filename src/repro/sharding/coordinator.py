@@ -535,12 +535,13 @@ class ShardCoordinator:
 
     def run(self) -> ShardReport:
         """Execute every shard and merge; see :class:`ShardReport`."""
-        telemetry = (
+        # The caller's object travels down as given: a disabled one must
+        # reach each layer so that none falls back to ambient telemetry.
+        given = (
             self.telemetry if self.telemetry is not None
             else current_telemetry()
         )
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None
+        telemetry = given if given is not None and given.enabled else None
         tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
 
         with tracer.span(
@@ -548,7 +549,7 @@ class ShardCoordinator:
         ) as job_span:
             with tracer.span("shard.plan") as plan_span:
                 plan = self.plan_shards()
-                config = self._resolve_config(telemetry)
+                config = self._resolve_config(given)
                 if config.order != plan.order:
                     # A tuned entry may carry any order; ownership was
                     # computed under the plan's, which must win.
@@ -578,7 +579,7 @@ class ShardCoordinator:
                 for i in range(self.n_shards):
                     try:
                         results.append(run_shard_task(
-                            self.graph, plan, i, telemetry=telemetry,
+                            self.graph, plan, i, telemetry=given,
                             **self._shard_kwargs(
                                 i, config, devices, surcharges, gpu_counts
                             ),

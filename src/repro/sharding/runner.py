@@ -185,6 +185,9 @@ def run_shard_task(
         set_heartbeat_aux_provider(worker.flush)
     elif telemetry is None:
         telemetry = current_telemetry()
+    # The kernel gets the object as given, so a disabled one keeps it
+    # from falling back to ambient telemetry.
+    given = telemetry
     if telemetry is not None and not telemetry.enabled:
         telemetry = None
     tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
@@ -228,7 +231,7 @@ def run_shard_task(
                 checkpoint_every=checkpoint_every,
                 resume=resume,
                 halt_after_tasks=halt_after_tasks,
-                telemetry=telemetry,
+                telemetry=given,
             )
             halted = bool(result.extras.get("halted", False))
             if telemetry is not None:

@@ -29,7 +29,6 @@ from repro.core.batch import (
     batch_gamma_matches,
     batch_intersect,
     batch_popcount,
-    batch_subset_mask,
     lane_state_bytes,
     ragged_split,
     ragged_stack,
@@ -101,17 +100,6 @@ class TestPrimitives:
             batch_popcount(words)
             == popcount_words(words).sum(axis=-1, dtype=np.int64)
         ).all()
-
-    def test_batch_subset_mask(self):
-        rng = np.random.default_rng(4)
-        masks = self._rand_words(rng, 8, 3)
-        # rows ⊆ mask by construction, then flip one bit outside.
-        rows = masks & self._rand_words(rng, 8, 3)
-        ok = batch_subset_mask(rows, masks)
-        assert ok.all()
-        spoiled = rows.copy()
-        spoiled[:, 0] |= ~masks[:, 0]
-        assert not batch_subset_mask(spoiled, masks).any()
 
     def test_ragged_stack_split_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -199,6 +187,39 @@ def _per_task_sequential(g, counter, task, *, prune=True):
     return c, emitted
 
 
+def _assert_members_match_per_task(g, counter, tasks, *, prune, **kw):
+    """One :func:`run_batch` call over ``tasks``: every member's arrays,
+    dtypes, order and Counters equal its own sequential walk.  Returns
+    the per-member sequential Counters."""
+    counters = [Counters() for _ in tasks]
+    out = run_batch(
+        [
+            BatchMember(
+                universe=t.universe, left=t.left, right=t.right,
+                cands=t.cands, counts=t.counts, counters=c,
+            )
+            for t, c in zip(tasks, counters)
+        ],
+        prune=prune,
+        **kw,
+    )
+    total = 0
+    seq = []
+    for i, (t, c_bat) in enumerate(zip(tasks, counters)):
+        c_seq, e_seq = _per_task_sequential(g, counter, t, prune=prune)
+        e_bat = list(out.pairs(i))
+        assert len(e_bat) == len(e_seq)
+        for (lb, rb), (ls, rs) in zip(e_bat, e_seq):
+            assert lb.dtype == ls.dtype and rb.dtype == rs.dtype
+            np.testing.assert_array_equal(lb, ls)
+            np.testing.assert_array_equal(rb, rs)
+        assert vars(c_bat) == vars(c_seq)
+        total += len(e_seq)
+        seq.append(c_seq)
+    assert len(out) == total > 0
+    return seq
+
+
 class TestRunBatchEquivalence:
     @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("seed", range(6))
@@ -238,29 +259,35 @@ class TestRunBatchEquivalence:
         g = make_mixed_width(200, 12, seed=seed)
         counter, tasks = _bitset_root_tasks(g)
         assert {t.universe.n_words for t in tasks} == {1, 2, 3}
-        counters = [Counters() for _ in tasks]
-        out = run_batch(
-            [
-                BatchMember(
-                    universe=t.universe, left=t.left, right=t.right,
-                    cands=t.cands, counts=t.counts, counters=c,
-                )
-                for t, c in zip(tasks, counters)
-            ],
-            prune=prune,
+        _assert_members_match_per_task(g, counter, tasks, prune=prune)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_member_forks_root_children_into_idle_lanes(self, prune):
+        """Lanes beyond the members take over maximal root-level
+        children: one member then needs fewer rounds than nodes, and its
+        emissions and Counters are still those of its sequential walk."""
+        g = make_random(40, 24, 0.4, seed=3)
+        counter, tasks = _bitset_root_tasks(g)
+        task = max(tasks, key=lambda t: len(t.cands))
+        stats = BatchStats()
+        (c_seq,) = _assert_members_match_per_task(
+            g, counter, [task], prune=prune, lanes=16, stats=stats
         )
-        total = 0
-        for i, (t, c_bat) in enumerate(zip(tasks, counters)):
-            c_seq, e_seq = _per_task_sequential(g, counter, t, prune=prune)
-            e_bat = list(out.pairs(i))
-            assert len(e_bat) == len(e_seq)
-            for (lb, rb), (ls, rs) in zip(e_bat, e_seq):
-                assert lb.dtype == ls.dtype and rb.dtype == rs.dtype
-                np.testing.assert_array_equal(lb, ls)
-                np.testing.assert_array_equal(rb, rs)
-            assert vars(c_bat) == vars(c_seq)
-            total += len(e_seq)
-        assert len(out) == total > 0
+        # unforked, one lane pushes one node per round
+        assert stats.rounds < c_seq.nodes_generated
+        assert stats.tasks_per_round == [1] * stats.rounds
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_width_members_fork_into_idle_lanes(self, seed, prune):
+        g = make_mixed_width(200, 12, seed=seed)
+        counter, tasks = _bitset_root_tasks(g)
+        stats = BatchStats()
+        seq = _assert_members_match_per_task(
+            g, counter, tasks, prune=prune, lanes=4 * len(tasks),
+            stats=stats,
+        )
+        assert stats.rounds < max(c.nodes_generated for c in seq)
 
     @pytest.mark.parametrize("first_levels", [1, 2])
     def test_undo_stacks_grow_on_demand(self, monkeypatch, first_levels):
@@ -512,18 +539,19 @@ class TestDeliveryAndAdmission:
         seen = []
         real = run_batch
 
-        def spy(members, *, prune=True, stats=None):
+        def spy(members, *, prune=True, stats=None, lanes=None):
             seen.append((
                 len(members),
+                lanes,
                 lane_state_bytes(
-                    len(members),
+                    lanes,
                     max(len(m.universe.scope) for m in members),
                     max(m.universe.n_words for m in members),
                     max(max(len(m.cands), 1) for m in members),
                     max(min(len(m.left), len(m.cands)) for m in members) + 2,
                 ),
             ))
-            return real(members, prune=prune, stats=stats)
+            return real(members, prune=prune, stats=stats, lanes=lanes)
 
         monkeypatch.setattr(kernel_mod, "run_batch", spy)
         monkeypatch.setattr(kernel_mod, "_BATCH_ARRAY_BYTES", budget)
@@ -532,8 +560,10 @@ class TestDeliveryAndAdmission:
         r_on, e_on = _enumerate(g, config=GMBEConfig(batch_tasks="auto"))
         assert e_on == e_off
         assert vars(r_on.counters) == vars(r_off.counters)
-        assert max(n for n, _ in seen) > 1  # still batching, just narrower
-        assert all(n == 1 or b <= budget for n, b in seen)
+        assert max(n for n, _, _ in seen) > 1  # still batching, just narrower
+        assert all(lanes >= n for n, lanes, _ in seen)
+        # every lane, forked or not, fits the budget
+        assert all(lanes == 1 or b <= budget for _, lanes, b in seen)
 
 
 class TestRobustness:
@@ -612,9 +642,9 @@ class TestTelemetry:
         seen = []
         real = run_batch
 
-        def spy(members, *, prune=True, stats=None):
+        def spy(members, *, prune=True, stats=None, lanes=None):
             seen.append(stats)
-            return real(members, prune=prune, stats=stats)
+            return real(members, prune=prune, stats=stats, lanes=lanes)
 
         monkeypatch.setattr(kernel_mod, "run_batch", spy)
         g = make_random(26, 20, 0.4, seed=6)
@@ -628,9 +658,9 @@ class TestTelemetry:
         seen = []
         real = run_batch
 
-        def spy(members, *, prune=True, stats=None):
+        def spy(members, *, prune=True, stats=None, lanes=None):
             seen.append(stats)
-            return real(members, prune=prune, stats=stats)
+            return real(members, prune=prune, stats=stats, lanes=lanes)
 
         monkeypatch.setattr(kernel_mod, "run_batch", spy)
         g = make_random(26, 20, 0.4, seed=6)

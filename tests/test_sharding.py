@@ -385,6 +385,22 @@ class TestIntegration:
         assert counters["shard.jobs"] == 1
         assert counters["shard.runs"] == 2
 
+    def test_disabled_telemetry_stays_out_of_ambient_scope(
+        self, graph, reference
+    ):
+        """A disabled ``telemetry=`` switches telemetry off for the whole
+        job: neither the shard runs nor their kernels fall back to an
+        enabled ambient telemetry."""
+        from repro.telemetry import Telemetry, use_telemetry
+
+        ambient = Telemetry()
+        with use_telemetry(ambient):
+            report = ShardCoordinator(
+                graph, 2, telemetry=Telemetry(enabled=False)
+            ).run()
+        assert report.bicliques == reference
+        assert ambient.registry.snapshot() == {}
+
     def test_thread_and_process_dispatch_agree(self):
         """Both pools run the same per-shard entry: same answer, same
         counters, and the same job → run → kernel span tree."""
