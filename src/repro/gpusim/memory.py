@@ -42,10 +42,6 @@ class MemoryDemand:
     def fits(self, device: DeviceSpec) -> bool:
         return self.total_bytes <= device.global_mem_bytes
 
-    @property
-    def total_gib(self) -> float:
-        return self.total_bytes / 1024**3
-
 
 class MemoryModel:
     """Computes Fig. 7's two memory layouts for a dataset."""

@@ -786,18 +786,12 @@ class EnumerationBroker:
             store = StoredResultSet.from_bicliques(outcome.value)
             self.cache.put(entry.key, store, tag=entry.tag)
             self.registry.counter("service.jobs.completed").add(1)
-            latency = (loop.time() - entry.submitted_at) * 1e3
-            self.registry.histogram("service.latency_ms").record(latency)
+            result = self._result(entry, JobStatus.COMPLETED, store=store,
+                                  attempts=outcome.attempts)
+            self.registry.histogram("service.latency_ms").record(
+                result.latency_ms)
             if entry.shards > 1:
                 self._note_shard_outcome(True)
-            result = JobResult(
-                job_id=entry.job.id,
-                status=JobStatus.COMPLETED,
-                algorithm=entry.job.algorithm,
-                store=store,
-                attempts=outcome.attempts,
-                latency_ms=latency,
-            )
         elif degraded:
             # Explicit partial enumeration: surface everything the run
             # did complete, plus the exact shard inventory — and never
@@ -817,13 +811,9 @@ class EnumerationBroker:
                 partial=partial,
                 breaker_opened_now=breaker_opened.value > opened_before,
             )
-            latency = (loop.time() - entry.submitted_at) * 1e3
-            self.registry.histogram("service.latency_ms").record(latency)
             job = entry.job
-            result = JobResult(
-                job_id=job.id,
-                status=JobStatus.DEGRADED,
-                algorithm=job.algorithm,
+            result = self._result(
+                entry, JobStatus.DEGRADED,
                 store=StoredResultSet.from_bicliques(
                     b for b in partial.bicliques
                     if len(b.left) >= job.min_left
@@ -831,10 +821,11 @@ class EnumerationBroker:
                 ),
                 error=str(outcome.exception),
                 attempts=outcome.attempts,
-                latency_ms=latency,
                 completed_shards=tuple(partial.completed_shards),
                 quarantined_shards=tuple(sorted(partial.quarantined)),
             )
+            self.registry.histogram("service.latency_ms").record(
+                result.latency_ms)
         else:
             status = {
                 "timeout": JobStatus.TIMEOUT,
@@ -857,10 +848,8 @@ class EnumerationBroker:
             )
         self._finish(entry, result)
 
-    def _result(
-        self, entry: _Entry, status: str, *, error: str | None = None,
-        attempts: int = 0,
-    ) -> JobResult:
+    def _result(self, entry: _Entry, status: str, **fields) -> JobResult:
+        """``entry``'s result, with its latency since submission."""
         latency = 0.0
         if self._loop is not None:
             latency = (self._loop.time() - entry.submitted_at) * 1e3
@@ -868,9 +857,8 @@ class EnumerationBroker:
             job_id=entry.job.id,
             status=status,
             algorithm=entry.job.algorithm,
-            error=error,
-            attempts=attempts,
             latency_ms=latency,
+            **fields,
         )
 
     def _finish(self, entry: _Entry, result: JobResult) -> None:

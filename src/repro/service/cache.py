@@ -150,15 +150,6 @@ class ResultCache:
         self.stats.invalidations += len(doomed)
         return len(doomed)
 
-    def invalidate_graph(self, fingerprint: str) -> int:
-        """Drop every entry keyed on this graph fingerprint."""
-        doomed = [k for k in self._entries if k[0] == fingerprint]
-        for k in doomed:
-            entry = self._entries.pop(k)
-            self._current_bytes -= entry.nbytes
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
-
     def watch(self, dynamic_graph, tag: Hashable):
         """Drop ``tag``'s entries whenever ``dynamic_graph`` mutates.
 

@@ -20,8 +20,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".encode": (
-        "DEFAULT_BLOCK_RECORDS Block PathDeltaEncoder count_records "
-        "decode_blocks"
+        "DEFAULT_BLOCK_RECORDS Block count_records decode_blocks "
+        "encode_blocks"
     ),
     ".provenance": "pack_lineages unpack_lineages",
     ".resultset": "ResultStoreWriter StoredResultSet materialized_nbytes",

@@ -26,26 +26,26 @@ touching the payload: O(1) cursor seek to the containing block, and
 whole-block skipping under size filters (``max_left < min_left`` means
 no record in the block can pass).
 
-The encoder's only state between records is the previous record itself
-— a ``(left, right)`` pair of tuples — which is all the per-side LCPs
-need.  Prefix sharing between consecutive bicliques of an enumeration
-order is what the format compresses (Mukherjee & Tirthapura,
-arXiv:1404.4910).
+Nothing in the format depends on more than the previous record, so
+:func:`encode_blocks` computes every record's LCPs and deltas at once
+with array operations over the flattened sides.  Prefix sharing
+between consecutive bicliques of an enumeration order is what the
+format compresses (Mukherjee & Tirthapura, arXiv:1404.4910).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
 __all__ = [
     "Block",
     "DEFAULT_BLOCK_RECORDS",
-    "PathDeltaEncoder",
     "count_records",
     "decode_blocks",
+    "encode_blocks",
 ]
 
 #: Records per block: small enough that a cursor seek decodes little,
@@ -72,114 +72,124 @@ class Block:
         return int(self.data.nbytes)
 
 
-def _lcp(a: tuple, b: tuple) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+def encode_blocks(lefts, rights, block_records: int = DEFAULT_BLOCK_RECORDS,
+                  *, start: int = 0) -> list[Block]:
+    """Encode records ``(lefts[k], rights[k])`` into blocks in one pass.
 
+    ``lefts`` and ``rights`` are equal-length sequences of sides, each a
+    sequence of ints.  Record ``k`` gets stream ordinal ``start + k``, so
+    ``start`` must fall on a block boundary of the stream the blocks
+    join.  Every step is an array operation over the ragged flat sides:
+    per-side LCPs by one gathered compare, gaps by a shifted
+    difference, words scattered to ``cumsum`` offsets and block maxima
+    by ``np.maximum.reduceat``.
 
-def _gaps(side: tuple, lcp: int, ordinal: int, name: str) -> list:
-    """Delta words of ``side[lcp:]``, each against its predecessor."""
-    before = side[lcp - 1:-1] if lcp else (-1,) + side[:-1]
-    gaps = list(map(operator.sub, side[lcp:], before))
-    # side[-1] - before[0] bounds every gap of an increasing side, so
-    # the max() scan runs only when a word could overflow
-    if gaps and (min(gaps) < 1 or (side[-1] - before[0] > 0xFFFFFFFF
-                                   and max(gaps) > 0xFFFFFFFF)):
+    Raises :class:`ValueError` (and encodes nothing) naming the first
+    record with a side that is not strictly increasing non-negative ints
+    whose delta words fit in ``[1, 2**32)``.
+    """
+    if block_records < 1:
         raise ValueError(
-            f"record {ordinal}: {name} side {side!r} is not strictly "
+            f"block_records must be positive, got {block_records}"
+        )
+    n = len(lefts)
+    if len(rights) != n:
+        raise ValueError(f"{n} left sides but {len(rights)} right sides")
+    if n == 0:
+        return []
+    fresh = np.arange(n) % block_records == 0  # lcp forced to 0
+    left, right = _Side(lefts, n, fresh), _Side(rights, n, fresh)
+    bad = min(left.first_bad, right.first_bad)
+    if bad < n:
+        name, raw = (
+            ("left", lefts) if left.first_bad == bad else ("right", rights)
+        )
+        raise ValueError(
+            f"record {start + bad}: {name} side "
+            f"{tuple(int(x) for x in raw[bad])!r} is not strictly "
             f"increasing non-negative vertex ids with deltas below 2**32"
         )
-    return gaps
+
+    new_l = left.lens - left.lcp
+    new_r = right.lens - right.lcp
+    pos = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(_HEADER_WORDS + new_l + new_r, out=pos[1:])
+    head = pos[:-1]
+    words = np.empty(int(pos[-1]), dtype=np.uint32)
+    words[head[:, None] + np.arange(_HEADER_WORDS)] = np.column_stack(
+        [left.lcp, new_l, right.lcp, new_r])
+    left.scatter(words, head + _HEADER_WORDS)
+    right.scatter(words, head + _HEADER_WORDS + new_l)
+
+    cuts = np.arange(0, n, block_records)
+    ends = np.append(cuts[1:], n)
+    max_l = np.maximum.reduceat(left.lens, cuts)
+    max_r = np.maximum.reduceat(right.lens, cuts)
+    return [
+        Block(start + a, b - a, ml, mr, words[pos[a]:pos[b]])
+        for a, b, ml, mr in zip(cuts.tolist(), ends.tolist(),
+                                max_l.tolist(), max_r.tolist())
+    ]
 
 
-class PathDeltaEncoder:
-    """Append-only encoder; ``finish()`` freezes the block list."""
+class _Side:
+    """One side of a record run as ragged flat arrays.
 
-    def __init__(self, block_records: int = DEFAULT_BLOCK_RECORDS) -> None:
-        if block_records < 1:
-            raise ValueError(
-                f"block_records must be positive, got {block_records}"
+    ``gaps[i]`` is the delta word of flat position ``i`` against its
+    predecessor in the same record (``-1`` for a record's first vertex);
+    ``lcp[k]`` is record ``k``'s shared prefix with record ``k - 1``.
+    """
+
+    def __init__(self, sides, n: int, fresh: np.ndarray) -> None:
+        lens = np.fromiter(map(len, sides), dtype=np.int64, count=n)
+        total = int(lens.sum())
+        try:
+            flat = np.fromiter(
+                chain.from_iterable(sides), dtype=np.int64, count=total
             )
-        self.block_records = block_records
-        #: the previous record, the only state carried between records
-        self._prev: tuple[tuple, tuple] = ((), ())
-        self._blocks: list[Block] = []
-        self._words: list[int] = []
-        self._block_start = 0
-        self._block_records = 0
-        self._max_l = 0
-        self._max_r = 0
-        self._n_records = 0
-        self._finished = False
-
-    def add(self, left: tuple, right: tuple) -> int:
-        """Encode one record; returns its ordinal.
-
-        Raises :class:`ValueError` (and encodes nothing) when a side is
-        not strictly increasing non-negative ints whose delta words fit
-        in ``[1, 2**32)``.
-        """
-        if self._finished:
-            raise RuntimeError("encoder already finished")
-        ordinal = self._n_records
-        if self._block_records == 0:
-            lcp_l = lcp_r = 0  # block-start records are self-contained
-        else:
-            prev_left, prev_right = self._prev
-            lcp_l = _lcp(left, prev_left)
-            lcp_r = _lcp(right, prev_right)
-        gaps_l = _gaps(left, lcp_l, ordinal, "left")
-        gaps_r = _gaps(right, lcp_r, ordinal, "right")
-        words = self._words
-        words.append(lcp_l)
-        words.append(len(left) - lcp_l)
-        words.append(lcp_r)
-        words.append(len(right) - lcp_r)
-        words.extend(gaps_l)
-        words.extend(gaps_r)
-        self._prev = (left, right)
-
-        if len(left) > self._max_l:
-            self._max_l = len(left)
-        if len(right) > self._max_r:
-            self._max_r = len(right)
-        self._n_records += 1
-        self._block_records += 1
-        if self._block_records >= self.block_records:
-            self._close_block()
-        return ordinal
-
-    def _close_block(self) -> None:
-        if self._block_records == 0:
-            return
-        self._blocks.append(
-            Block(
-                start=self._block_start,
-                n_records=self._block_records,
-                max_left=self._max_l,
-                max_right=self._max_r,
-                data=np.asarray(self._words, dtype=np.uint32),
+        except OverflowError:
+            # an id beyond int64 is invalid anyway; -1 makes the check
+            # below name its record
+            flat = np.fromiter(
+                (x if 0 <= x < 2**63 else -1
+                 for x in chain.from_iterable(sides)),
+                dtype=np.int64, count=total,
             )
+        offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=offs[1:])
+        gaps = np.empty_like(flat)
+        gaps[1:] = flat[1:] - flat[:-1]
+        heads = offs[:-1][lens > 0]
+        gaps[heads] = flat[heads] + 1
+        invalid = (flat < 0) | (gaps < 1) | (gaps > 0xFFFFFFFF)
+        self.first_bad = (
+            int(np.searchsorted(offs, invalid.argmax(), "right")) - 1
+            if invalid.any() else n
         )
-        self._words = []
-        self._block_start = self._n_records
-        self._block_records = 0
-        self._max_l = 0
-        self._max_r = 0
 
-    def finish(self) -> list[Block]:
-        """Close the open block; further ``add`` calls are an error."""
-        if not self._finished:
-            self._close_block()
-            self._finished = True
-        return self._blocks
+        # LCP: compare the first min(len, previous len) positions of
+        # each record with its predecessor's; the first mismatch ends it
+        span = np.zeros(n, dtype=np.int64)
+        np.minimum(lens[1:], lens[:-1], out=span[1:])
+        span[fresh] = 0
+        lcp = span.copy()
+        if n_cmp := int(span.sum()):
+            rec = np.repeat(np.arange(n), span)
+            within = np.arange(n_cmp) - np.repeat(np.cumsum(span) - span,
+                                                  span)
+            here = offs[rec] + within
+            miss = np.flatnonzero(flat[here] != flat[here - lens[rec - 1]])
+            hit, first = np.unique(rec[miss], return_index=True)
+            lcp[hit] = within[miss[first]]
+        self.lens, self.offs, self.gaps, self.lcp = lens, offs, gaps, lcp
 
-    @property
-    def n_records(self) -> int:
-        return self._n_records
+    def scatter(self, words: np.ndarray, dest: np.ndarray) -> None:
+        """Write each record's unshared gaps to ``words[dest[k]:]``."""
+        rec = np.repeat(np.arange(self.lens.size), self.lens)
+        first_new = self.offs[:-1] + self.lcp
+        idx = np.arange(self.gaps.size)
+        keep = idx >= first_new[rec]
+        words[idx[keep] + (dest - first_new)[rec[keep]]] = self.gaps[keep]
 
 
 # ----------------------------------------------------------------------
@@ -205,37 +215,28 @@ def decode_blocks(
             continue
         if block.max_left < min_left or block.max_right < min_right:
             continue
-        data = block.data
+        words = block.data.tolist()
         i = 0
-        prev_l: tuple = ()
-        prev_r: tuple = ()
-        for k in range(block.n_records):
-            lcp_l = int(data[i])
-            n_l = int(data[i + 1])
-            lcp_r = int(data[i + 2])
-            n_r = int(data[i + 3])
+        left = right = ()
+        for ordinal in range(block.start, block.start + block.n_records):
+            lcp_l, n_l, lcp_r, n_r = words[i:i + _HEADER_WORDS]
             i += _HEADER_WORDS
-            left = list(prev_l[:lcp_l])
-            base = left[-1] if left else -1
-            for w in data[i:i + n_l]:
-                base += int(w)
-                left.append(base)
+            left = _extend(left, lcp_l, words[i:i + n_l])
             i += n_l
-            right = list(prev_r[:lcp_r])
-            base = right[-1] if right else -1
-            for w in data[i:i + n_r]:
-                base += int(w)
-                right.append(base)
+            right = _extend(right, lcp_r, words[i:i + n_r])
             i += n_r
-            prev_l = tuple(left)
-            prev_r = tuple(right)
-            ordinal = block.start + k
             if (
                 ordinal >= start
-                and len(prev_l) >= min_left
-                and len(prev_r) >= min_right
+                and len(left) >= min_left
+                and len(right) >= min_right
             ):
-                yield ordinal, prev_l, prev_r
+                yield ordinal, left, right
+
+
+def _extend(prev: tuple, lcp: int, gaps: list) -> tuple:
+    """``prev[:lcp]`` followed by the vertices that ``gaps`` step to."""
+    base = prev[lcp - 1] if lcp else -1
+    return prev[:lcp] + tuple(accumulate(gaps, initial=base))[1:]
 
 
 def count_records(blocks, *, min_left: int = 0, min_right: int = 0) -> int:
@@ -248,17 +249,10 @@ def count_records(blocks, *, min_left: int = 0, min_right: int = 0) -> int:
     for block in blocks:
         if block.max_left < min_left or block.max_right < min_right:
             continue
-        data = block.data
+        words = block.data.tolist()
         i = 0
-        len_l = len_r = 0
         for _ in range(block.n_records):
-            lcp_l = int(data[i])
-            n_l = int(data[i + 1])
-            lcp_r = int(data[i + 2])
-            n_r = int(data[i + 3])
-            len_l = lcp_l + n_l
-            len_r = lcp_r + n_r
+            lcp_l, n_l, lcp_r, n_r = words[i:i + _HEADER_WORDS]
             i += _HEADER_WORDS + n_l + n_r
-            if len_l >= min_left and len_r >= min_right:
-                total += 1
+            total += lcp_l + n_l >= min_left and lcp_r + n_r >= min_right
     return total

@@ -24,14 +24,12 @@ the service's process boundaries); ``page()`` discovers the ambient
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.bicliques import Biclique
 from .encode import (
     DEFAULT_BLOCK_RECORDS,
-    PathDeltaEncoder,
     count_records,
     decode_blocks,
+    encode_blocks,
 )
 
 __all__ = ["ResultStoreWriter", "StoredResultSet", "materialized_nbytes"]
@@ -87,12 +85,11 @@ class StoredResultSet:
     def from_bicliques(
         cls, bicliques, *, block_records: int = DEFAULT_BLOCK_RECORDS
     ) -> "StoredResultSet":
-        # Route through the writer so every build — API, broker, shard
-        # merge — reports the same ``store.*`` metrics.
-        writer = ResultStoreWriter(block_records=block_records)
-        for b in bicliques:
-            writer.append(b.left, b.right)
-        return writer.finish()
+        records = list(bicliques)
+        lefts, rights = [b.left for b in records], [b.right for b in records]
+        store = cls(encode_blocks(lefts, rights, block_records), len(records))
+        _note_store(store)
+        return store
 
     # -- sizing ---------------------------------------------------------
     @property
@@ -168,7 +165,7 @@ class StoredResultSet:
                 next_cursor = str(ordinal)
                 break
             items.append(Biclique(left, right))
-        _note_page(len(items))
+        _bump({"store.pages.served": 1, "store.pages.items": len(items)})
         return items, next_cursor
 
     def pages(self, limit: int = 100):
@@ -207,20 +204,42 @@ def _parse_cursor(cursor: str | None) -> int:
     return start
 
 
-def _note_page(n_items: int) -> None:
-    """Bump ``store.pages.*`` on the ambient telemetry, if any."""
+_COUNTERS = {
+    "store.results.built": "result stores finished",
+    "store.results.records": "records written to stores",
+    "store.results.encoded_bytes":
+        "encoded payload bytes across finished stores",
+    "store.results.blocks": "encoded blocks written",
+    "store.pages.served": "cursor pages served",
+    "store.pages.items": "bicliques returned via pages",
+}
+
+
+def _bump(counts: dict) -> None:
+    """Add ``counts`` to ``store.*`` counters of the ambient telemetry."""
     from ..telemetry.hub import current_telemetry
 
     telemetry = current_telemetry()
     if telemetry is None or not telemetry.enabled:
         return
-    reg = telemetry.registry
-    reg.counter(
-        "store.pages.served", description="cursor pages served"
-    ).add(1)
-    reg.counter(
-        "store.pages.items", description="bicliques returned via pages"
-    ).add(n_items)
+    for name, value in counts.items():
+        telemetry.registry.counter(
+            name, description=_COUNTERS[name]
+        ).add(value)
+
+
+def _note_store(store: StoredResultSet) -> None:
+    _bump({
+        "store.results.built": 1,
+        "store.results.records": len(store),
+        "store.results.encoded_bytes": store.nbytes,
+        "store.results.blocks": store.n_blocks,
+    })
+
+
+#: Records a writer buffers before encoding them, rounded down to whole
+#: blocks so every run starts a block and memory stays bounded.
+_RUN_RECORDS = 4096
 
 
 class ResultStoreWriter:
@@ -230,59 +249,59 @@ class ResultStoreWriter:
     (``writer(left, right)`` with sorted numpy arrays), so any
     enumerator — the GMBE kernel's emission ledger, the shard merge, a
     CPU baseline — can write straight into the store with no
-    intermediate list.
+    intermediate list.  Records are checked on append and encoded by
+    :func:`~repro.store.encode.encode_blocks` in runs of whole blocks,
+    so the blocks equal those of one pass over the whole stream.
     """
 
-    def __init__(
-        self,
-        *,
-        block_records: int = DEFAULT_BLOCK_RECORDS,
-    ) -> None:
-        self._enc = PathDeltaEncoder(block_records)
+    def __init__(self, *, block_records: int = DEFAULT_BLOCK_RECORDS) -> None:
+        if block_records < 1:
+            raise ValueError(
+                f"block_records must be positive, got {block_records}"
+            )
+        self.block_records = block_records
+        self._run = max(1, _RUN_RECORDS // block_records) * block_records
+        self._lefts: list = []
+        self._rights: list = []
+        self._blocks: list = []
+        self._count = 0
+        self._finished = False
 
     def append(self, left, right) -> None:
-        """Add one biclique given any sorted int sequences."""
-        if isinstance(left, np.ndarray):
-            left = tuple(int(x) for x in left.tolist())
-        else:
-            left = tuple(int(x) for x in left)
-        if isinstance(right, np.ndarray):
-            right = tuple(int(x) for x in right.tolist())
-        else:
-            right = tuple(int(x) for x in right)
-        self._enc.add(left, right)
+        """Add one biclique given any sorted int sequences; a malformed
+        side raises :class:`ValueError` and keeps nothing of the record."""
+        if self._finished:
+            raise RuntimeError("writer already finished")
+        left, right = tuple(left), tuple(right)
+        # encoding the record alone applies encode_blocks' one check
+        encode_blocks([left], [right], start=self._count)
+        self._lefts.append(left)
+        self._rights.append(right)
+        self._count += 1
+        if len(self._lefts) == self._run:
+            self._flush()
 
     # BicliqueSink protocol
     __call__ = append
 
+    def _flush(self) -> None:
+        self._blocks += encode_blocks(
+            self._lefts,
+            self._rights,
+            self.block_records,
+            start=self._count - len(self._lefts),
+        )
+        self._lefts = []
+        self._rights = []
+
     @property
     def count(self) -> int:
-        return self._enc.n_records
+        return self._count
 
     def finish(self) -> StoredResultSet:
         """Freeze into a :class:`StoredResultSet` and report metrics."""
-        blocks = self._enc.finish()
-        store = StoredResultSet(blocks, self._enc.n_records)
-        self._note_store(store)
+        self._flush()
+        self._finished = True
+        store = StoredResultSet(self._blocks, self._count)
+        _note_store(store)
         return store
-
-    def _note_store(self, store: StoredResultSet) -> None:
-        from ..telemetry.hub import current_telemetry
-
-        telemetry = current_telemetry()
-        if telemetry is None or not telemetry.enabled:
-            return
-        reg = telemetry.registry
-        reg.counter(
-            "store.results.built", description="result stores finished"
-        ).add(1)
-        reg.counter(
-            "store.results.records", description="records written to stores"
-        ).add(len(store))
-        reg.counter(
-            "store.results.encoded_bytes",
-            description="encoded payload bytes across finished stores",
-        ).add(store.nbytes)
-        reg.counter(
-            "store.results.blocks", description="encoded blocks written"
-        ).add(store.n_blocks)

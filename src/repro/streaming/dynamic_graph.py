@@ -5,10 +5,16 @@ enumeration kernels rely on frozen sorted arrays).  Streams need cheap
 edge insertion/deletion, so the maintainer works on this adjacency-set
 representation and *snapshots* induced subgraphs into CSR form only for
 the local re-enumerations.
+
+One lock guards every mutation and read of the adjacency sets (the
+service broker snapshots on its loop thread while callers write), and
+the whole-graph snapshot is built once per graph version.
 """
 
 from __future__ import annotations
 
+import threading
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,6 +31,12 @@ class DynamicBipartiteGraph:
         self._adj_u: list[set[int]] = [set() for _ in range(n_u)]
         self._adj_v: list[set[int]] = [set() for _ in range(n_v)]
         self._listeners: list[Callable[[str, int, int], None]] = []
+        #: guards the adjacency sets, the version and the snapshot cache
+        self._lock = threading.Lock()
+        #: bumped by every change to the edge set or the vertex ranges
+        self._version = 0
+        #: ``(version, graph)`` of the last whole-graph snapshot
+        self._snapshot: tuple[int, BipartiteGraph] | None = None
 
     # ------------------------------------------------------------------
     # Update listeners (cache invalidation, audit logs, ...)
@@ -52,13 +64,17 @@ class DynamicBipartiteGraph:
 
     @staticmethod
     def from_graph(graph: BipartiteGraph) -> "DynamicBipartiteGraph":
-        g = DynamicBipartiteGraph(graph.n_u, graph.n_v)
-        for u, v in graph.edges():
-            g._adj_u[u].add(v)
-            g._adj_v[v].add(u)
+        g = DynamicBipartiteGraph()
+        g._adj_u = _row_sets(graph.u_indptr, graph.u_indices)
+        g._adj_v = _row_sets(graph.v_indptr, graph.v_indices)
         return g
 
     # ------------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        """Changes whenever the edge set or a vertex range does."""
+        return self._version
+
     @property
     def n_u(self) -> int:
         return len(self._adj_u)
@@ -83,29 +99,37 @@ class DynamicBipartiteGraph:
     # ------------------------------------------------------------------
     def ensure_vertices(self, u: int, v: int) -> None:
         """Grow the vertex ranges to include ``u`` and ``v``."""
-        while len(self._adj_u) <= u:
-            self._adj_u.append(set())
-        while len(self._adj_v) <= v:
-            self._adj_v.append(set())
+        with self._lock:
+            self._grow(u, v)
+
+    def _grow(self, u: int, v: int) -> None:
+        if u >= len(self._adj_u) or v >= len(self._adj_v):
+            self._adj_u.extend(set() for _ in range(u + 1 - len(self._adj_u)))
+            self._adj_v.extend(set() for _ in range(v + 1 - len(self._adj_v)))
+            self._version += 1
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Add edge; returns False if it already existed."""
         if u < 0 or v < 0:
             raise ValueError("vertex ids must be non-negative")
-        self.ensure_vertices(u, v)
-        if v in self._adj_u[u]:
-            return False
-        self._adj_u[u].add(v)
-        self._adj_v[v].add(u)
+        with self._lock:
+            self._grow(u, v)
+            if v in self._adj_u[u]:
+                return False
+            self._adj_u[u].add(v)
+            self._adj_v[v].add(u)
+            self._version += 1
         self._notify("insert", u, v)
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Remove edge; returns False if it was absent."""
-        if not self.has_edge(u, v):
-            return False
-        self._adj_u[u].discard(v)
-        self._adj_v[v].discard(u)
+        with self._lock:
+            if not self.has_edge(u, v):
+                return False
+            self._adj_u[u].discard(v)
+            self._adj_v[v].discard(u)
+            self._version += 1
         self._notify("delete", u, v)
         return True
 
@@ -126,11 +150,21 @@ class DynamicBipartiteGraph:
         return out
 
     def snapshot(self) -> BipartiteGraph:
-        """Freeze the whole graph into CSR form."""
-        edges = [
-            (u, v) for u, nbrs in enumerate(self._adj_u) for v in nbrs
-        ]
-        return BipartiteGraph.from_edges(self.n_u, self.n_v, edges)
+        """Freeze the whole graph into CSR form, once per version.
+
+        Writes that returned before this call are in the result.  The
+        version is read with the adjacency, so a write landing during
+        the CSR build never gets this older graph cached as its own.
+        """
+        with self._lock:
+            version, cached = self._version, self._snapshot
+            if cached is not None and cached[0] == version:
+                return cached[1]
+            n_u, n_v = len(self._adj_u), len(self._adj_v)
+            edges = _edges(self._adj_u)
+        graph = BipartiteGraph.from_edges(n_u, n_v, edges)
+        self._snapshot = (version, graph)
+        return graph
 
     def induced_subgraph(
         self, us: Iterable[int], vs: Iterable[int]
@@ -142,12 +176,27 @@ class DynamicBipartiteGraph:
         """
         u_ids = np.array(sorted(set(us)), dtype=np.int64)
         v_ids = np.array(sorted(set(vs)), dtype=np.int64)
-        v_pos = {int(v): i for i, v in enumerate(v_ids)}
-        edges = []
-        for i, u in enumerate(u_ids):
-            for v in self._adj_u[int(u)]:
-                j = v_pos.get(v)
-                if j is not None:
-                    edges.append((i, j))
-        sub = BipartiteGraph.from_edges(len(u_ids), len(v_ids), edges)
+        with self._lock:
+            edges = _edges([self._adj_u[u] for u in u_ids.tolist()])
+        cols = np.searchsorted(v_ids, edges[:, 1])
+        inside = cols < len(v_ids)
+        inside[inside] = v_ids[cols[inside]] == edges[inside, 1]
+        edges[:, 1] = cols
+        sub = BipartiteGraph.from_edges(len(u_ids), len(v_ids), edges[inside])
         return sub, u_ids, v_ids
+
+
+def _row_sets(indptr: np.ndarray, indices: np.ndarray) -> list[set[int]]:
+    """Per-row neighbor sets of a CSR adjacency."""
+    ids, bounds = indices.tolist(), indptr.tolist()
+    return [set(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _edges(rows: list[set[int]]) -> np.ndarray:
+    """``(row index, member)`` pairs of ``rows`` as an (m, 2) array."""
+    degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    edges = np.empty((int(degrees.sum()), 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(len(rows)), degrees)
+    edges[:, 1] = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                              count=len(edges))
+    return edges

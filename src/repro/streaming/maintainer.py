@@ -98,48 +98,30 @@ class BicliqueMaintainer:
         for v in b.right:
             self._by_v.get(v, set()).discard(b)
 
-    def _local_maximal_through_u(self, u: int) -> set[Biclique]:
-        """All maximal bicliques of the current graph with ``u ∈ L``."""
-        n_u = self.graph.neighbors_u(u)
-        if not n_u:
+    def _local_maximal(self, us, vs, side: int, vertex: int) -> set[Biclique]:
+        """All maximal bicliques of the current graph inside ``us × vs``
+        with ``vertex`` on ``side`` (0: left, 1: right)."""
+        if not us or not vs:
             return set()
-        us = self.graph.two_hop_u(u) | {u}
-        sub, u_ids, v_ids = self.graph.induced_subgraph(us, n_u)
+        sub, u_ids, v_ids = self.graph.induced_subgraph(us, vs)
         collector = BicliqueCollector()
         oombea(sub, collector)
-        u_pos = int(np.searchsorted(u_ids, u))
-        out = set()
-        for b in collector.bicliques:
-            if u_pos in b.left:
-                out.add(
-                    Biclique.make(u_ids[list(b.left)], v_ids[list(b.right)])
-                )
-        return out
-
-    def _local_maximal_through_v(self, v: int) -> set[Biclique]:
-        """All maximal bicliques of the current graph with ``v ∈ R``."""
-        n_v = self.graph.neighbors_v(v)
-        if not n_v:
-            return set()
-        vs = self.graph.two_hop_v(v) | {v}
-        sub, u_ids, v_ids = self.graph.induced_subgraph(n_v, vs)
-        collector = BicliqueCollector()
-        oombea(sub, collector)
-        v_pos = int(np.searchsorted(v_ids, v))
-        out = set()
-        for b in collector.bicliques:
-            if v_pos in b.right:
-                out.add(
-                    Biclique.make(u_ids[list(b.left)], v_ids[list(b.right)])
-                )
-        return out
+        pos = int(np.searchsorted((u_ids, v_ids)[side], vertex))
+        return {
+            Biclique.make(u_ids[list(b.left)], v_ids[list(b.right)])
+            for b in collector.bicliques
+            if pos in b[side]
+        }
 
     def _update_around(self, u: int, v: int) -> None:
         """Drop-and-reenumerate the locality of the updated edge."""
         stale = set(self._by_u.get(u, ())) | set(self._by_v.get(v, ()))
         for b in stale:
             self._unindex(b)
-        fresh = self._local_maximal_through_u(u) | self._local_maximal_through_v(v)
+        g = self.graph
+        fresh = self._local_maximal(
+            g.two_hop_u(u) | {u}, g.neighbors_u(u), 0, u
+        ) | self._local_maximal(g.neighbors_v(v), g.two_hop_v(v) | {v}, 1, v)
         for b in fresh:
             self._index(b)
         self.stats["updates"] += 1

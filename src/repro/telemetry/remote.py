@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 from .hub import Telemetry
 from .sinks import RingSink
-from .tracing import Span, current_span
 
 __all__ = [
     "TelemetrySnapshot",
@@ -58,19 +57,6 @@ class TraceContext:
     trace_id: str | None = None
     parent_span_id: str | None = None
     job_id: int | None = None
-
-    @classmethod
-    def from_span(cls, span: Span | None, *, job_id=None) -> "TraceContext":
-        """Capture a span's ids (the ambient span when ``span`` is None)."""
-        if span is None:
-            span = current_span()
-        if span is None:
-            return cls(job_id=job_id)
-        return cls(
-            trace_id=span.trace_id,
-            parent_span_id=span.span_id,
-            job_id=span.job_id if job_id is None else job_id,
-        )
 
 
 @dataclass

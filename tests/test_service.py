@@ -10,6 +10,7 @@ and the acceptance bar that service results are bit-identical to direct
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -782,6 +783,35 @@ class TestInvalidationOnUpdate:
             return True
 
         assert run_broker(go, n_workers=1)
+
+    def test_cold_job_and_hits_build_csr_once(self, paper_graph, monkeypatch):
+        builds = []
+        build = BipartiteGraph.from_edges
+
+        def spy(*args, **kwargs):
+            caller = sys._getframe(1).f_globals["__name__"]
+            if caller == "repro.streaming.dynamic_graph":
+                builds.append(caller)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(BipartiteGraph, "from_edges", staticmethod(spy))
+        with ServiceClient(n_workers=1, policy=FAST_POLICY) as client:
+            dyn = client.register_graph("g", paper_graph)
+            cold = client.submit(graph_name="g", algorithm="oombea")
+            hits = [client.submit(graph_name="g", algorithm="oombea")
+                    for _ in range(8)]
+            assert cold.ok and not cold.cache_hit
+            assert all(hit.cache_hit for hit in hits)
+            assert len(builds) == 1
+            # read-your-writes: the next job sees the returned write
+            assert dyn.insert_edge(4, 0)
+            after = client.submit(graph_name="g", algorithm="oombea")
+            assert not after.cache_hit and len(builds) == 2
+            expected = enumerate_maximal_bicliques(
+                dyn.snapshot(), algorithm="oombea"
+            )
+            assert list(after.bicliques) == expected
+            assert len(builds) == 2
 
 
 # ----------------------------------------------------------------------

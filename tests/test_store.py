@@ -18,11 +18,12 @@ from repro.core.bicliques import Biclique, BicliqueCollector
 from repro.gmbe import GMBEConfig, gmbe_gpu
 from repro.graph import random_bipartite
 from repro.store import (
-    PathDeltaEncoder,
+    Block,
     ResultStoreWriter,
     StoredResultSet,
     count_records,
     decode_blocks,
+    encode_blocks,
     materialized_nbytes,
     pack_lineages,
     unpack_lineages,
@@ -41,11 +42,56 @@ def _random_records(rng, n, n_u=40, n_v=50):
     return recs
 
 
+def _encode(recs, block_records=16) -> list:
+    return encode_blocks([l for l, _ in recs], [r for _, r in recs],
+                         block_records)
+
+
 def _store_from(recs, block_records=16) -> StoredResultSet:
-    enc = PathDeltaEncoder(block_records)
-    for left, right in recs:
-        enc.add(left, right)
-    return StoredResultSet(enc.finish(), enc.n_records)
+    return StoredResultSet(_encode(recs, block_records), len(recs))
+
+
+def _oracle_blocks(recs, block_records) -> list:
+    """The wire format, one record at a time in plain Python.
+
+    Each side's LCP is taken against the previous record (0 at a block
+    start) and the unshared vertices are stored as gaps against their
+    predecessor, the first vertex of a side against -1.
+    """
+    blocks, words, prev = [], [], ((), ())
+    start = max_l = max_r = 0
+    for ordinal, rec in enumerate(recs):
+        if ordinal - start == block_records:
+            blocks.append(Block(start, ordinal - start, max_l, max_r,
+                                np.asarray(words, dtype=np.uint32)))
+            words, prev, start, max_l, max_r = [], ((), ()), ordinal, 0, 0
+        header, gaps = [], []
+        for side, before in zip(rec, prev):
+            lcp = 0
+            while (lcp < min(len(side), len(before))
+                   and side[lcp] == before[lcp]):
+                lcp += 1
+            header += [lcp, len(side) - lcp]
+            base = side[lcp - 1] if lcp else -1
+            for v in side[lcp:]:
+                gaps.append(v - base)
+                base = v
+        words += header + gaps
+        prev = rec
+        max_l, max_r = max(max_l, len(rec[0])), max(max_r, len(rec[1]))
+    if recs:
+        blocks.append(Block(start, len(recs) - start, max_l, max_r,
+                            np.asarray(words, dtype=np.uint32)))
+    return blocks
+
+
+def _assert_same_blocks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.start, g.n_records, g.max_left, g.max_right) == (
+            w.start, w.n_records, w.max_left, w.max_right)
+        assert g.data.dtype == np.uint32
+        assert g.data.tolist() == w.data.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +100,7 @@ class TestEncoding:
     def test_roundtrip_bit_identical(self, block_records):
         rng = random.Random(3)
         recs = _random_records(rng, 300)
-        enc = PathDeltaEncoder(block_records)
-        for left, right in recs:
-            enc.add(left, right)
-        blocks = enc.finish()
+        blocks = _encode(recs, block_records)
         assert [(l, r) for _, l, r in decode_blocks(blocks)] == recs
         assert count_records(blocks) == len(recs)
 
@@ -73,10 +116,7 @@ class TestEncoding:
             ((0,), (2, 6, 7, 9)),
             ((0, 8), (2, 6, 7, 9)),
         ]
-        enc = PathDeltaEncoder(2)
-        for left, right in recs:
-            enc.add(left, right)
-        blocks = enc.finish()
+        blocks = _encode(recs, 2)
         expected = [
             (0, 2, 3, 2, [0, 2, 0, 2, 2, 2, 3, 3,
                           2, 1, 1, 1, 1, 4]),
@@ -92,13 +132,44 @@ class TestEncoding:
             assert (block.max_left, block.max_right) == (max_l, max_r)
         assert [(l, r) for _, l, r in decode_blocks(blocks)] == recs
 
+    @pytest.mark.parametrize("block_records", [1, 2, 7, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_encode_blocks_matches_oracle(self, seed, block_records):
+        rng = random.Random(seed)
+        recs = _random_records(rng, 700, n_u=12, n_v=15)
+        # unsorted stretches, repeated records and empty sides too
+        recs[100:200] = rng.sample(recs[100:200], 100)
+        recs[300:305] = [recs[299]] * 5
+        recs[400:403] = [((), (1,)), ((2,), ()), ((), ())]
+        _assert_same_blocks(_encode(recs, block_records),
+                            _oracle_blocks(recs, block_records))
+
+    @pytest.mark.parametrize("block_records", [1, 2, 7, 256])
+    def test_writer_runs_match_oracle(self, block_records, monkeypatch):
+        from repro.store import resultset
+
+        # runs of a few blocks, so the stream is encoded in many pieces
+        monkeypatch.setattr(resultset, "_RUN_RECORDS", 3 * block_records)
+        recs = _random_records(random.Random(9), 1000, n_u=12, n_v=15)
+        writer = ResultStoreWriter(block_records=block_records)
+        for left, right in recs:
+            writer.append(np.array(left), right)
+        store = writer.finish()
+        _assert_same_blocks(store._blocks,
+                            _oracle_blocks(recs, block_records))
+        assert writer.count == len(store) == len(recs)
+        _assert_same_blocks(
+            StoredResultSet.from_bicliques(
+                (Biclique(l, r) for l, r in recs),
+                block_records=block_records,
+            )._blocks,
+            _oracle_blocks(recs, block_records),
+        )
+
     def test_blocks_decode_independently(self):
         rng = random.Random(5)
         recs = _random_records(rng, 100)
-        enc = PathDeltaEncoder(8)
-        for left, right in recs:
-            enc.add(left, right)
-        blocks = enc.finish()
+        blocks = _encode(recs, 8)
         # Decoding any single block alone reproduces its slice exactly —
         # the block-start lcp=0 framing carries no cross-block state.
         for block in blocks:
@@ -115,17 +186,19 @@ class TestEncoding:
         assert store.nbytes < 0.25 * materialized_nbytes(bqs)
 
     def test_add_after_finish_is_an_error(self):
-        enc = PathDeltaEncoder()
-        enc.add((1,), (2,))
-        enc.finish()
+        writer = ResultStoreWriter()
+        writer.append((1,), (2,))
+        writer.finish()
         with pytest.raises(RuntimeError, match="finished"):
-            enc.add((1,), (3,))
+            writer.append((1,), (3,))
         with pytest.raises(ValueError, match="block_records"):
-            PathDeltaEncoder(0)
+            ResultStoreWriter(block_records=0)
+        with pytest.raises(ValueError, match="block_records"):
+            encode_blocks([(1,)], [(2,)], 0)
 
     def test_empty_stream(self):
-        enc = PathDeltaEncoder()
-        assert enc.finish() == []
+        assert encode_blocks([], []) == []
+        assert ResultStoreWriter().finish().n_blocks == 0
         store = StoredResultSet([], 0)
         assert len(store) == 0 and list(store) == []
         items, cur = store.page(None, 10)
@@ -235,6 +308,7 @@ class TestStoredResultSet:
         ((-1,), (2,), "left"),     # negative id
         ((0, 4), (5, 5), "right"),
         ((0, 2**33), (1,), "left"),  # delta word overflows uint32
+        ((0,), (1, 2**64), "right"),  # id overflows int64
     ])
     def test_writer_rejects_malformed_sides(self, left, right, side):
         writer = ResultStoreWriter()
@@ -247,6 +321,20 @@ class TestStoredResultSet:
             Biclique((0, 4), (2, 5)),
             Biclique((0, 5), (2,)),
         ]
+
+    @pytest.mark.parametrize("left, right, side", [
+        ((3, 1), (2,), "left"),
+        ((1,), (-2, 4), "right"),
+        ((2**63,), (2,), "left"),  # id overflows int64
+        ((0, 2**33), (1,), "left"),
+    ])
+    def test_from_bicliques_names_first_bad_record(self, left, right, side):
+        good = Biclique((0, 4), (2, 5))
+        # record 3 is bad on both sides; record 2 is reported
+        records = [good, good, Biclique(left, right),
+                   Biclique((5, 5), (-1,)), good]
+        with pytest.raises(ValueError, match=f"record 2: {side} side"):
+            StoredResultSet.from_bicliques(records, block_records=2)
 
 
 # ---------------------------------------------------------------------------
