@@ -22,17 +22,17 @@ own true ``n_words``/scope size exactly as the sequential path would be
 telemetry phase attribution are unaffected by batching (DESIGN.md §10).
 
 Each round costs a fixed number of numpy calls however many lanes are
-live, including the decode of every maximal node the round found, so
-the kernel's ``batch_tasks="auto"`` runs up to 128 lanes, and a lane
-whose member is done takes over a root-level child forked off a member
-still running (the host analog of the paper's one-level split, Alg. 4),
-so a batch no longer waits on its longest member.  Memory stays
-flat at that width: a batch's emissions come back as one ragged
-:class:`BatchEmissions` buffer (no per-biclique arrays until a consumer
-slices them), per-lane count state uses the narrowest dtype the mask
-width allows, and the kernel admits lanes only while
-:func:`lane_state_bytes` of every padded array stays within its byte
-budget.
+live, including the decode of every maximal node the round found.  A
+lane keeps each node's state at the node's own level, so a push writes
+one level and a pop steps back one; a free lane takes over a root-level
+child forked off a member still running (the host analog of the paper's
+one-level split, Alg. 4), so a batch no longer waits on its longest
+member.  The kernel runs as many lanes as :func:`lane_state_bytes` of
+every padded array fits in its byte budget, at most one per member and
+root-level child.  Memory stays flat at that width: a batch's emissions
+come back as one ragged :class:`BatchEmissions` buffer (no per-biclique
+arrays until a consumer slices them) and per-lane count state uses the
+narrowest dtype the mask width allows.
 
 Primitives (:func:`batch_intersect`, :func:`batch_popcount`,
 :func:`ragged_stack`/:func:`ragged_split`) are exposed separately: the
@@ -48,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from .bicliques import Counters
-from .bitset import WORD_BITS, BitsetUniverse, from_sorted, popcount_words
+from .bitset import WORD_BITS, BitsetUniverse, popcount_words
 
 __all__ = [
     "BatchEmissions",
@@ -63,17 +63,8 @@ __all__ = [
     "run_batch",
 ]
 
-#: Per-lane candidate state: depth markers are bounded by a candidate
-#: count, so 32 bits suffice (half the sequential path's ``int64``).
-_STATE = np.int32
-#: Candidate-state sentinel for "still a candidate" — mirrors
-#: :data:`repro.gmbe.node_buffer.INF_DEPTH` in the narrower dtype.
-_INF = np.iinfo(_STATE).max
-#: Padding state for slots beyond a member's real candidate count; acts
-#: like a permanently excluded root-level candidate (never INF, never
-#: matches any depth marker ≥ 1 or ≤ -2).
-_PAD = -1
-#: Undo-stack depth a batch starts with before growing on demand.
+#: Levels a batch's per-level lane state starts with before growing on
+#: demand.
 _FIRST_LEVELS = 8
 #: ``Counters`` fields a lane accumulates by sum (``peak_stack_depth``
 #: folds by max).
@@ -184,6 +175,8 @@ class BatchStats:
 
     rounds: int = 0
     tasks_per_round: list[int] = field(default_factory=list)
+    #: lockstep width of each batch that ran a round
+    lanes: list[int] = field(default_factory=list)
 
 
 class BatchEmissions:
@@ -283,18 +276,19 @@ def lane_state_bytes(
     """Size in bytes of the largest padded array :func:`run_batch` can
     allocate for ``k`` lanes whose largest member has ``n_scope`` scope
     rows, ``n_words`` mask words, ``n_cands`` candidates and at most
-    ``stack_depth`` undo-stack levels (the stacks grow on demand, so
-    this is their worst case).
+    ``stack_depth`` levels (the per-level arrays grow on demand, so this
+    is their worst case).
 
-    The scope matrix also bounds the per-round AND temporary, so keeping
-    this under a budget bounds the batch's transient memory.
+    The scope matrix also bounds the per-round AND temporary and the
+    scope-id decode table, the ``nls`` levels bound the candidate-set
+    levels, and the masks bound the traversed-index and ``|R'|`` levels,
+    so keeping this under a budget bounds the batch's transient memory.
     """
     nls_bytes = np.min_scalar_type(WORD_BITS * n_words).itemsize
     return k * max(
         n_scope * n_words * 8,  # scope_rows, and each round's AND
         stack_depth * n_words * 8,  # masks
-        stack_depth * n_cands * nls_bytes,  # nls_stack
-        n_cands * 4,  # cand_state, cand_vids
+        stack_depth * n_cands * nls_bytes,  # nls (and cand) levels
         n_words * WORD_BITS * 4,  # left-id decode table
     )
 
@@ -327,19 +321,17 @@ def run_batch(
     live = [members[i] for i in live_ids]
     n = len(live)
     k = max(n, len(members) if lanes is None else lanes)
+    if stats is not None:
+        stats.lanes.append(k)
     w_per = np.array([m.universe.n_words for m in live], dtype=np.int64)
     s_per = np.array([len(m.universe.scope) for m in live], dtype=np.int64)
     c_per = np.array([len(m.cands) for m in live], dtype=np.int64)
-    r_per = np.array([len(m.right) for m in live], dtype=np.int64)
     w_max = int(w_per.max())
     s_max = int(s_per.max())
     c_max = int(c_per.max())
     # Depth never exceeds min(|L|, |C|): every push strictly shrinks L
     # (traversed candidates are partial) and consumes one candidate.
-    d_per = np.minimum(
-        np.array([len(m.left) for m in live], dtype=np.int64), c_per
-    )
-    d_cap = int(d_per.max()) + 1
+    d_cap = int(np.minimum([len(m.left) for m in live], c_per).max()) + 1
     # Local-neighbourhood sizes never exceed a universe's bit count.
     nls_dtype = np.min_scalar_type(WORD_BITS * w_max)
 
@@ -347,37 +339,48 @@ def run_batch(
     # are stored candidate-first (candidate j is row j, the rest of the
     # scope follows), so a round's candidate counts are a slice of its
     # scope counts.  Padding rows count 0 < |L'| (L' is nonempty at
-    # every push), so they never look full.
+    # every push), so they never look full.  Decode tables: a lane's
+    # mask bit b is U id left_ids[left_base[member] + b] and its scope
+    # row j is V id scope_ids[scope_base[member] + j].
     scope_rows = np.zeros((n, s_max, w_max), dtype=np.uint64)
-    cand_vids = np.zeros((n, c_max), dtype=np.int32)
-    # Emission decode tables: a lane's mask bit b is U id
-    # left_ids[left_base[member] + b]; its root R is the first
-    # r_per[member] entries of root_right[member].
+    left_bits = np.zeros((n, w_max * WORD_BITS), dtype=np.uint8)
+    scope_ids = []
+    for t, (m, s, w) in enumerate(zip(live, s_per.tolist(), w_per.tolist())):
+        u = m.universe
+        rows = u.row_index(m.cands)
+        rest = np.ones(s, dtype=bool)
+        rest[rows] = False
+        order = np.concatenate([rows, np.flatnonzero(rest)])
+        scope_rows[t, :s, :w] = u.rows[order]
+        scope_ids.append(u.scope[order])
+        left_bits[t, u.left_positions(m.left)] = 1
+    scope_ids = np.concatenate(scope_ids).astype(np.int32, copy=False)
+    scope_base = _offsets(s_per)[:-1]
     left_ids = np.concatenate([m.universe.left for m in live]).astype(
         np.int32, copy=False
     )
-    left_base = np.zeros(n, dtype=np.int64)
-    np.cumsum([m.universe.n_bits for m in live[:-1]], out=left_base[1:])
-    root_right = np.zeros((n, int(r_per.max())), dtype=np.int32)
-    root_right_on = np.arange(root_right.shape[1]) < r_per[:, None]
+    left_base = _offsets([m.universe.n_bits for m in live])[:-1]
 
-    # Dynamic state, one row per lane.  Padded candidate slots carry the
-    # _PAD state, never INF.  Lane t < n starts as member t's root lane
-    # (base depth 0); the rest start free.
-    cand_state = np.full((k, c_max), _PAD, dtype=_STATE)
-    nls = np.zeros((k, c_max), dtype=nls_dtype)
-    # Per-depth undo stacks start shallow and double on demand up to
-    # the d_cap bound, which real subtrees rarely approach.
+    # Dynamic state, one row per lane: level l holds the candidate set,
+    # nls, traversed index, |R'| and L mask of the lane's node at depth
+    # l, and is not written while that node's children run, so a pop
+    # just steps back one level (DESIGN.md §10).  Lane t < n starts as
+    # member t's root lane (base depth 0); the rest start free.  Levels
+    # double on demand up to d_cap, which real subtrees rarely approach.
     levels = min(d_cap + 1, _FIRST_LEVELS)
+    cand = np.zeros((k, levels, c_max), dtype=bool)
+    nls = np.zeros((k, levels, c_max), dtype=nls_dtype)
+    trav = np.zeros((k, levels), dtype=np.intp)
+    right_size = np.zeros((k, levels), dtype=np.int64)
     masks = np.zeros((k, levels, w_max), dtype=np.uint64)
-    nls_stack = np.zeros((k, levels, c_max), dtype=nls_dtype)
-    prune_stack = np.zeros((k, levels, c_max), dtype=bool)
-    trav_stack = np.zeros((k, levels), dtype=np.intp)
-    join_stack = np.zeros((k, levels), dtype=np.int64)
-    depth = np.zeros(k, dtype=_STATE)
-    base = np.zeros(k, dtype=_STATE)
-    right_size = np.zeros(k, dtype=np.int64)
-    right_size[:n] = r_per
+    cand[:n, 0] = np.arange(c_max) < c_per[:, None]
+    nls[:n, 0][cand[:n, 0]] = np.concatenate([m.counts for m in live])
+    right_size[:n, 0] = [len(m.right) for m in live]
+    masks[:n, 0] = np.packbits(left_bits, axis=1, bitorder="little").view(
+        "<u8"
+    )
+    depth = np.zeros(k, dtype=np.intp)
+    base = np.zeros(k, dtype=np.intp)
     owner = np.zeros(k, dtype=np.intp)
     owner[:n] = np.arange(n)
     # The root-level child a lane is inside: emissions sort by
@@ -385,21 +388,6 @@ def run_batch(
     child = np.full(k, -1, dtype=np.int64)
     active = np.zeros(k, dtype=bool)
     active[:n] = True
-
-    for t, m in enumerate(live):
-        u = m.universe
-        rows = u.row_index(m.cands)
-        rest = np.setdiff1d(np.arange(s_per[t]), rows, assume_unique=True)
-        scope_rows[t, : s_per[t], : w_per[t]] = u.rows[
-            np.concatenate([rows, rest])
-        ]
-        cand_vids[t, : c_per[t]] = m.cands
-        cand_state[t, : c_per[t]] = _INF
-        nls[t, : c_per[t]] = m.counts
-        masks[t, 0, : w_per[t]] = from_sorted(
-            u.left_positions(m.left), u.n_bits
-        )
-        root_right[t, : r_per[t]] = m.right
 
     # Per-lane accumulators, folded into the lane's member when it
     # retires and into each member's Counters at the end — identical
@@ -417,25 +405,20 @@ def run_batch(
     out_right: list[np.ndarray] = []
     out_right_len: list[np.ndarray] = []
 
-    def pop_rows(rows: np.ndarray) -> None:
-        """Vectorized :meth:`NodeBuffer.pop` over lanes ``rows``."""
-        d = depth[rows]
-        cs = cand_state[rows]
-        # Candidates that joined R here, and exclusions made while this
-        # node was active, become candidates again.
-        lift = (cs == d[:, None]) | (cs == -(d + 1)[:, None])
-        cs = np.where(lift, _INF, cs)
-        # nls reverts to the parent's values (full-row snapshot of the
-        # pre-push state — equivalent to the sequential undo log).
-        nls[rows] = nls_stack[rows, d]
-        # Traversed vertex leaves C at the parent; pruned siblings too.
-        cs[np.arange(len(rows)), trav_stack[rows, d]] = -d
-        pending = prune_stack[rows, d] & (cs == _INF)
-        cs = np.where(pending, -d[:, None], cs)
-        cand_state[rows] = cs
-        acc_pruned[rows] += pending.sum(axis=1)
-        right_size[rows] -= join_stack[rows, d]
-        depth[rows] = d - 1
+    def pop(rows, d, parent, trav_i, child_nls):
+        """Vectorized :meth:`NodeBuffer.pop` of lanes ``rows`` from depth
+        ``d``: the traversed vertex and the siblings whose nls the child
+        left unchanged (Thm 4.1) leave ``parent``, the candidate set at
+        level ``d - 1``, which is returned."""
+        up = d - 1
+        parent[np.arange(len(rows)), trav_i] = False
+        if prune:
+            pending = parent & (child_nls == nls[rows, up])
+            parent &= ~pending
+            acc_pruned[rows] += pending.sum(axis=1)
+        cand[rows, up] = parent
+        depth[rows] = up
+        return parent
 
     def retire(rows: np.ndarray) -> None:
         """Free lanes ``rows``, folding their sums into their members."""
@@ -458,99 +441,77 @@ def run_batch(
         # (Alg. 2 line #6), popping exhausted nodes until one is found
         # or the lane is back at its base depth, where it retires.
         push_t: list[np.ndarray] = []
-        push_i: list[np.ndarray] = []
-        pending_rows = alive
-        while len(pending_rows):
-            is_inf = cand_state[pending_rows] == _INF
-            has = is_inf.any(axis=1)
-            takers = pending_rows[has]
-            if len(takers):
-                push_t.append(takers)
-                push_i.append(np.argmax(is_inf[has], axis=1))
-            rest = pending_rows[~has]
-            if len(rest) == 0:
-                break
-            done = depth[rest] == base[rest]
+        push_cur: list[np.ndarray] = []
+        rows = alive
+        cur = cand[rows, depth[rows]]
+        while True:
+            has = cur.any(axis=1)
+            push_t.append(rows[has])
+            push_cur.append(cur[has])
+            rows = rows[~has]
+            d = depth[rows]
+            done = d == base[rows]
             if done.any():
-                retire(rest[done])
-            pending_rows = rest[~done]
-            if len(pending_rows):
-                pop_rows(pending_rows)
-        if not push_t:
-            continue
+                retire(rows[done])
+                rows, d = rows[~done], d[~done]
+            if len(rows) == 0:
+                break
+            cur = pop(rows, d, cand[rows, d - 1], trav[rows, d], nls[rows, d])
         P = np.concatenate(push_t)
-        ci = np.concatenate(push_i)
+        if len(P) == 0:
+            continue
+        cur = np.concatenate(push_cur)
+        ci = np.argmax(cur, axis=1)
         M = owner[P]
-        p = len(P)
-        nd = depth[P] + 1
-        top = int(nd.max())
-        if top >= masks.shape[1]:
-            levels = min(2 * top, d_cap + 1)
-            masks, nls_stack, prune_stack, trav_stack, join_stack = (
-                _deepen(a, levels)
-                for a in (masks, nls_stack, prune_stack, trav_stack, join_stack)
+        d = depth[P]
+        nd = d + 1
+        if int(nd.max()) >= levels:
+            levels = min(2 * int(nd.max()), d_cap + 1)
+            cand, nls, trav, right_size, masks = (
+                _deepen(a, levels) for a in (cand, nls, trav, right_size, masks)
             )
 
         # Phase B — batched push (Alg. 2 lines #8–14): one stacked AND +
         # popcount serves every lane's node generation and maximality
         # check this round.
-        new_mask = masks[P, depth[P]] & scope_rows[M, ci]
-        masks[P, nd] = new_mask
+        new_mask = masks[P, d] & scope_rows[M, ci]
         scoped = scope_rows[M]
         scoped &= new_mask[:, None, :]
         counts_scope = popcount_words(scoped).sum(axis=-1, dtype=nls_dtype)
         n_left = batch_popcount(new_mask)
+        gamma = counts_scope == n_left[:, None]
         counts = counts_scope[:, :c_max]
-
-        cs = cand_state[P]
-        cur = cs == _INF
-        cur_n = cur.sum(axis=1)
-        old_nls = nls[P]
-        nls_stack[P, nd] = old_nls
-
-        full = cur & (counts == n_left[:, None])
-        dropped = cur & (counts == 0)
-        if prune:
-            unchanged = cur & (counts == old_nls)
-            unchanged[np.arange(p), ci] = False
-            prune_stack[P, nd] = unchanged
-        cs = np.where(full, nd[:, None], cs)
-        cs = np.where(dropped, -(nd + 1)[:, None], cs)
-        cand_state[P] = cs
-        nls[P] = np.where(cur, counts, old_nls)
-        trav_stack[P, nd] = ci
-        joined = full.sum(axis=1)
-        join_stack[P, nd] = joined
-        right_size[P] += joined
-        depth[P] = nd
-        acc_nodes[P] += 1
-        acc_peak[P] = np.maximum(acc_peak[P], nd)
-        root_child = nd == 1
-        child[P[root_child]] += 1
-
+        full = cur & gamma[:, :c_max]
+        # The child's candidates: neither joined R' nor dropped to zero.
+        child_cand = cur & ~full & (counts != 0)
+        new_right = right_size[P, d] + full.sum(axis=1)
         # Maximality: |Γ(L')| == |R'| over each member's true scope rows
         # (padded rows count 0 < n_left, so they never match).
-        n_match = (counts_scope == n_left[:, None]).sum(axis=1)
-        maximal = n_match == right_size[P]
+        n_match = gamma.sum(axis=1)
+        maximal = n_match == new_right
+        acc_nodes[P] += 1
+        acc_peak[P] = np.maximum(acc_peak[P], nd)
         acc_maximal[P] += maximal
         acc_nonmax[P] += ~maximal
+        root_child = d == 0
+        child[P[root_child]] += 1
 
         # Per-lane cost charges, identical to the sequential bitset path:
         # mask AND (1 row), candidate counting pass (cur_n rows), and the
         # maximality scan (scope rows) — each over the member's own words.
         w = w_per[M]
         s = s_per[M]
+        cur_n = cur.sum(axis=1)
         acc_work[P] += w + cur_n * w + s * w
         acc_simt[P] += (
             (w + 31) // 32 + (cur_n * w + 31) // 32 + (s * w + 31) // 32 + 3
         )
 
-        # Phase C — decode every maximal node of the round at once; non-
-        # maximal nodes are never descended into (undone immediately, as
-        # in Alg. 2).
+        # Phase C — decode every maximal node of the round at once.  R'
+        # is Γ(L') at a maximal node, and Γ(L') ⊆ scope, so the right
+        # side is the round's matching scope rows.
         hit = np.nonzero(maximal)[0]
         if len(hit):
-            T = P[hit]
             MT = M[hit]
             bits = np.unpackbits(
                 new_mask[hit].astype("<u8", copy=False).view(np.uint8),
@@ -559,45 +520,44 @@ def run_batch(
             )
             row, pos = np.nonzero(bits)
             out_left.append(left_ids[left_base[MT][row] + pos])
-            out_left_len.append(np.bincount(row, minlength=len(T)))
-            # R' = root R ∪ candidates joined along the current path.
-            st = cand_state[T]
-            j_row, j_col = np.nonzero((st >= 1) & (st <= depth[T][:, None]))
-            r_row, r_col = np.nonzero(root_right_on[MT])
-            rows = np.concatenate([r_row, j_row])
-            vids = np.concatenate(
-                [root_right[MT[r_row], r_col], cand_vids[MT[j_row], j_col]]
-            )
-            out_right.append(vids[np.lexsort((vids, rows))])
-            out_right_len.append(right_size[T])
+            out_left_len.append(n_left[hit])
+            row, col = np.nonzero(gamma[hit])
+            key = row.astype(np.int64) << 32
+            key |= scope_ids[scope_base[MT][row] + col]
+            key.sort()
+            out_right.append(key.astype(np.int32))  # the low 32 bits
+            out_right_len.append(n_match[hit])
             out_member.append(MT)
-            out_child.append(child[T])
-        undo = P[~maximal]
+            out_child.append(child[P[hit]])
 
-        # Phase D — fork: a maximal root-level child that still has a
-        # candidate moves, with its whole dynamic row, into a free lane
-        # based at depth 1, and its root lane pops depth 1 now instead
-        # of after the subtree.  Every marker the subtree sets is lifted
-        # before the walk is back at depth 1, so the early pop sees the
-        # state the sequential walk's later pop sees.  Deeper undo
-        # levels are written before they are read, so none are copied.
+        # Phase D — a maximal node's level is written; a non-maximal one
+        # is undone at once (Alg. 2 never descends into it).  Fork: a
+        # maximal root-level child that still has a candidate is written
+        # at level 1 of a free lane based at depth 1, and its root lane
+        # pops depth 1 now.  Level 0 is not written while the subtree
+        # runs, so this pop sees what the sequential walk's later pop
+        # sees.
+        lane = P.copy()
         fork = hit[root_child[hit]]
         if len(fork):
             free = np.flatnonzero(~active)
-            if len(free):
-                fork = fork[(cs[fork] == _INF).any(axis=1)][: len(free)]
-                src, dst = P[fork], free[: len(fork)]
-                cand_state[dst] = cand_state[src]
-                nls[dst] = nls[src]
-                masks[dst, 1] = masks[src, 1]
-                depth[dst] = base[dst] = 1
-                right_size[dst] = right_size[src]
-                owner[dst] = owner[src]
-                child[dst] = child[src]
-                active[dst] = True
-                undo = np.concatenate([undo, src])
+            fork = fork[child_cand[fork].any(axis=1)][: len(free)]
+            dst = free[: len(fork)]
+            lane[fork] = dst
+            base[dst] = 1
+            owner[dst] = M[fork]
+            child[dst] = child[P[fork]]
+            active[dst] = True
+        at, lvl = lane[hit], nd[hit]
+        cand[at, lvl] = child_cand[hit]
+        nls[at, lvl] = counts[hit]
+        trav[at, lvl] = ci[hit]
+        right_size[at, lvl] = new_right[hit]
+        masks[at, lvl] = new_mask[hit]
+        depth[at] = lvl
+        undo = np.flatnonzero(~maximal | (lane != P))
         if len(undo):
-            pop_rows(undo)
+            pop(P[undo], nd[undo], cur[undo], ci[undo], counts[undo])
 
     for m, sums, peak in zip(live, totals.T.tolist(), peaks.tolist()):
         c = m.counters
@@ -624,7 +584,7 @@ def run_batch(
 
 
 def _deepen(stack: np.ndarray, levels: int) -> np.ndarray:
-    """Copy a ``(k, depth, ...)`` undo stack into ``levels`` depths."""
+    """Copy a ``(k, depth, ...)`` per-level array into ``levels`` depths."""
     out = np.zeros(stack.shape[:1] + (levels,) + stack.shape[2:], stack.dtype)
     out[:, : stack.shape[1]] = stack
     return out

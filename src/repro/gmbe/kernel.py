@@ -313,6 +313,9 @@ def _register_run_telemetry(
     registry.counter("sim.phase.split_cycles").add(split_overhead_cycles)
     if batch_stats is not None:
         registry.counter("sim.batch.rounds").add(batch_stats.rounds)
+        lanes_hist = registry.histogram("sim.batch.lanes")
+        for n in batch_stats.lanes:
+            lanes_hist.record(n)
         batch_hist = registry.histogram("sim.batch.tasks_per_round")
         for n in batch_stats.tasks_per_round:
             batch_hist.record(n)
@@ -558,7 +561,8 @@ class _Kernel:
     ) -> tuple[list, int]:
         """``seed`` plus every peer that keeps each padded lane array
         within ``_BATCH_ARRAY_BYTES``, and the lockstep width: the most
-        lanes, at most the batch limit, those dimensions fit in it."""
+        lanes those dimensions fit in it, at most one per member and
+        root-level child (only root-level children fork)."""
         members = [seed]
         dims = _lane_dims(seed)
         for t in self._batch_peers(seed, members, device_id):
@@ -567,7 +571,8 @@ class _Kernel:
                 dims = grown
                 members.append(t)
         fit = _BATCH_ARRAY_BYTES // lane_state_bytes(1, *dims)
-        return members, max(len(members), min(self.batch_limit, fit))
+        forkable = len(members) + sum(len(t.cands) for t in members)
+        return members, max(len(members), min(forkable, fit))
 
     def _compute_batch(self, seed: SubtreeTask, device_id: int) -> None:
         duration = self.duration

@@ -63,12 +63,15 @@ class TwoLevelTaskQueue:
             raise ValueError("local_capacity must be non-negative")
         self._local: list[list[tuple[float, int, Any]]] = [[] for _ in range(n_sms)]
         self._global: list[tuple[float, int, Any]] = []
+        #: items across every local queue, so an idle warp finds all of
+        #: them empty without scanning them
+        self._n_local = 0
         self._capacity = local_capacity
         self._seq = 0
         self.stats = QueueStats()
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._local) + len(self._global)
+        return self._n_local + len(self._global)
 
     # ------------------------------------------------------------------
     def push(self, sm: int, avail_time: float, payload: Any) -> str:
@@ -79,6 +82,7 @@ class TwoLevelTaskQueue:
         local = self._local[sm]
         if len(local) < self._capacity:
             heapq.heappush(local, item)
+            self._n_local += 1
             self.stats.local_enqueues += 1
             return "local"
         heapq.heappush(self._global, item)
@@ -107,6 +111,7 @@ class TwoLevelTaskQueue:
         """
         drained = [payload for _, _, payload in self._local[sm]]
         self._local[sm].clear()
+        self._n_local -= len(drained)
         return drained
 
     def drain_all(self) -> list[Any]:
@@ -119,6 +124,7 @@ class TwoLevelTaskQueue:
         for q in self._local:
             out.extend(payload for _, _, payload in q)
             q.clear()
+        self._n_local = 0
         out.extend(payload for _, _, payload in self._global)
         self._global.clear()
         return out
@@ -144,6 +150,7 @@ class TwoLevelTaskQueue:
         local = self._local[sm]
         if local and local[0][0] <= now:
             _, _, payload = heapq.heappop(local)
+            self._n_local -= 1
             self.stats.local_dequeues += 1
             return payload, "local"
         if self._global and self._global[0][0] <= now:
@@ -165,20 +172,21 @@ class TwoLevelTaskQueue:
         elif self._global:
             best = "global"
         if best is None:
+            if not self._n_local:
+                return None
             # Steal from a sibling SM's local queue as a last resort (the
             # proxy warp migrating tasks through the global queue).
-            candidates = [
+            _, owner = min(
                 (q[0][0], i) for i, q in enumerate(self._local) if q
-            ]
-            if not candidates:
-                return None
-            _, owner = min(candidates)
+            )
             avail, _, payload = heapq.heappop(self._local[owner])
+            self._n_local -= 1
             self.stats.global_dequeues += 1
             self.stats.spills += 1
             return payload, avail, "global"
         if best == "local":
             avail, _, payload = heapq.heappop(local)
+            self._n_local -= 1
             self.stats.local_dequeues += 1
             return payload, avail, "local"
         avail, _, payload = heapq.heappop(self._global)

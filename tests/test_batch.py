@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.batch as batch_mod
@@ -187,10 +187,13 @@ def _per_task_sequential(g, counter, task, *, prune=True):
     return c, emitted
 
 
-def _assert_members_match_per_task(g, counter, tasks, *, prune, **kw):
+def _assert_members_match_per_task(
+    g, counter, tasks, *, prune, nonempty=True, **kw
+):
     """One :func:`run_batch` call over ``tasks``: every member's arrays,
-    dtypes, order and Counters equal its own sequential walk.  Returns
-    the per-member sequential Counters."""
+    dtypes, order and Counters equal its own sequential walk, and (with
+    ``nonempty``) some member emits.  Returns the per-member sequential
+    Counters."""
     counters = [Counters() for _ in tasks]
     out = run_batch(
         [
@@ -216,7 +219,8 @@ def _assert_members_match_per_task(g, counter, tasks, *, prune, **kw):
         assert vars(c_bat) == vars(c_seq)
         total += len(e_seq)
         seq.append(c_seq)
-    assert len(out) == total > 0
+    assert len(out) == total
+    assert total > 0 or not nonempty
     return seq
 
 
@@ -329,12 +333,26 @@ class TestRunBatchEquivalence:
         assert len(out) == 0 and out.member_ptr.tolist() == [0]
 
     def test_lane_state_bytes_bounds_every_padded_array(self):
-        # 1-word lanes take the narrowest nls dtype; wide ones widen it
-        assert lane_state_bytes(4, 10, 1, 100, 5) == 4 * max(80, 40, 500, 400)
+        # terms: scope rows (and the round's AND), masks, nls levels
+        # (which bound the candidate-set levels), left-id decode table;
+        # 1-word lanes take the narrowest nls dtype, wide ones widen it
+        assert lane_state_bytes(4, 10, 1, 100, 5) == 4 * max(80, 40, 500, 256)
         assert lane_state_bytes(4, 10, 5, 200, 5) == 4 * 5 * 200 * 2
         # narrow scopes: the left-id decode table dominates
         assert lane_state_bytes(4, 2, 5, 10, 3) == 4 * 5 * 64 * 4
         assert lane_state_bytes(128, 232, 11, 50, 10) == 128 * 232 * 11 * 8
+        # no per-lane candidate row outside the levels any more
+        assert lane_state_bytes(4, 2, 1, 100, 2) == 4 * 1 * 64 * 4
+
+    def test_stats_record_each_batch_lane_count(self):
+        g = make_random(20, 16, 0.45, seed=3)
+        counter, tasks = _bitset_root_tasks(g)
+        stats = BatchStats()
+        _assert_members_match_per_task(
+            g, counter, tasks, prune=True, lanes=len(tasks) + 5, stats=stats
+        )
+        run_batch([], stats=stats)  # no live member: no round, no width
+        assert stats.lanes == [len(tasks) + 5]
 
     def test_batch_gamma_matches_agrees_with_scalar_gamma(self):
         from repro.core.expand import gamma_matches
@@ -566,6 +584,41 @@ class TestDeliveryAndAdmission:
         assert all(lanes == 1 or b <= budget for _, lanes, b in seen)
 
 
+    @pytest.mark.parametrize("budget", [4096, None])
+    def test_lane_count_sized_by_budget_and_root_children(
+        self, monkeypatch, budget
+    ):
+        """The lockstep width is the most lanes the byte budget fits, at
+        most one per member and root-level child (the most lanes a batch
+        can keep busy, since only root-level children fork)."""
+        if budget is not None:
+            monkeypatch.setattr(kernel_mod, "_BATCH_ARRAY_BYTES", budget)
+        budget = kernel_mod._BATCH_ARRAY_BYTES
+        seen = []
+        real = kernel_mod._Kernel._admit_batch
+
+        def spy(self, seed, device_id):
+            members, lanes = real(self, seed, device_id)
+            seen.append((list(members), lanes))
+            return members, lanes
+
+        monkeypatch.setattr(kernel_mod._Kernel, "_admit_batch", spy)
+        g = make_random(26, 20, 0.4, seed=6)
+        _enumerate(g, config=GMBEConfig(batch_tasks="auto"))
+        assert seen
+        bound_by_budget = False
+        for members, lanes in seen:
+            dims = [max(d) for d in zip(*map(kernel_mod._lane_dims, members))]
+            forkable = len(members) + sum(len(t.cands) for t in members)
+            assert len(members) <= lanes <= forkable
+            assert lanes == len(members) or (
+                lane_state_bytes(lanes, *dims) <= budget
+            )
+            bound_by_budget |= lanes < forkable
+        assert any(lanes > len(members) for members, lanes in seen)
+        assert bound_by_budget == (budget == 4096)
+
+
 class TestRobustness:
     def test_fault_injection_equivalence(self):
         from repro.gpusim.faults import FaultPlan
@@ -627,6 +680,26 @@ class TestTelemetry:
         assert hist is not None and hist.count >= 1
         assert hist.max >= 1
 
+    def test_lane_histogram_records_each_batch_width(self, monkeypatch):
+        from repro.telemetry import Telemetry
+
+        widths = []
+        real = run_batch
+
+        def spy(members, *, prune=True, stats=None, lanes=None):
+            if any(len(m.cands) for m in members):
+                widths.append(max(len(members), lanes))
+            return real(members, prune=prune, stats=stats, lanes=lanes)
+
+        monkeypatch.setattr(kernel_mod, "run_batch", spy)
+        g = make_random(26, 20, 0.4, seed=6)
+        t = Telemetry()
+        gmbe_gpu(g, config=GMBEConfig(batch_tasks="auto"), telemetry=t)
+        hist = t.registry.get("sim.batch.lanes")
+        assert widths and hist is not None
+        assert hist.count == len(widths)
+        assert hist.max == max(widths) and hist.total == sum(widths)
+
     def test_no_batch_metrics_when_batching_off(self):
         from repro.telemetry import Telemetry
 
@@ -667,6 +740,38 @@ class TestTelemetry:
         gmbe_gpu(g, config=GMBEConfig(batch_tasks="auto"), telemetry=Telemetry())
         assert seen and all(isinstance(s, BatchStats) for s in seen)
         assert len({id(s) for s in seen}) == 1  # one stats object per run
+
+
+# ---------------------------------------------------------------------------
+# property: any lockstep width from n to n + Σ|C_i| is invisible per member
+# ---------------------------------------------------------------------------
+
+
+@given(
+    n_u=st.integers(4, 100),
+    n_v=st.integers(3, 14),
+    p=st.floats(0.3, 0.85),
+    seed=st.integers(0, 2**16),
+    prune=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_any_lane_count_matches_per_task(
+    n_u, n_v, p, seed, prune, data
+):
+    """``run_batch`` at any width from one lane per member to one per
+    member and root-level child: every member's arrays, dtypes, order
+    and Counters equal its own node-buffer walk."""
+    g = make_random(n_u, n_v, p, seed=seed)
+    counter, tasks = _bitset_root_tasks(g)
+    assume(tasks)
+    n = len(tasks)
+    lanes = data.draw(
+        st.integers(n, n + sum(len(t.cands) for t in tasks)), label="lanes"
+    )
+    _assert_members_match_per_task(
+        g, counter, tasks, prune=prune, nonempty=False, lanes=lanes
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,44 @@ class TestPushPop:
         q = TwoLevelTaskQueue(2)
         assert q.pop_earliest(0) is None
 
+    def test_pop_earliest_none_once_every_local_queue_emptied(self):
+        """Items leave the local queues by every route (ready pop,
+        earliest pop, steal, SM drain, full drain); afterwards no SM
+        finds a task and the idle lookups charge nothing."""
+        q = TwoLevelTaskQueue(3, local_capacity=2)
+        for sm, avail, payload in [
+            (0, 0.0, "a"), (0, 1.0, "b"), (1, 0.0, "c"), (2, 4.0, "d"),
+        ]:
+            q.push(sm, avail, payload)
+        assert q.pop_ready(0, 0.5)[0] == "a"
+        assert q.pop_earliest(0)[0] == "b"
+        assert q.pop_earliest(0)[0] == "c"  # stolen from SM 1
+        assert q.drain_sm(2) == ["d"]
+        assert len(q) == 0
+        before = vars(q.stats).copy()
+        assert all(q.pop_earliest(sm) is None for sm in range(3))
+        assert vars(q.stats) == before
+        q.push(1, 0.0, "e")
+        q.requeue(2.0, "f")
+        assert sorted(q.drain_all()) == ["e", "f"]
+        assert len(q) == 0 and q.pop_earliest(2) is None
+
+    def test_pop_earliest_steals_earliest_sibling_lowest_sm_on_ties(self):
+        q = TwoLevelTaskQueue(4)
+        q.push(1, 5.0, "late")
+        q.push(2, 2.0, "tie-sm2")
+        q.push(3, 2.0, "tie-sm3")
+        q.push(3, 1.0, "earliest")
+        got = [q.pop_earliest(0) for _ in range(4)]
+        assert got == [
+            ("earliest", 1.0, "global"),
+            ("tie-sm2", 2.0, "global"),
+            ("tie-sm3", 2.0, "global"),
+            ("late", 5.0, "global"),
+        ]
+        assert q.stats.global_dequeues == q.stats.spills == 4
+        assert len(q) == 0 and q.pop_earliest(0) is None
+
     def test_len(self):
         q = TwoLevelTaskQueue(2, local_capacity=1)
         q.push(0, 0.0, 1)
