@@ -307,7 +307,7 @@ def check_gate(gate: Gate, update: bool) -> bool:
             ok = False
         if fresh < abs_floor:
             print(
-                f"FAIL: {gate.name}/{metric} below the {abs_floor:.1f}x "
+                f"FAIL: {gate.name}/{metric} below the {abs_floor:.2f}x "
                 f"acceptance floor ({fresh:.2f}x)"
             )
             ok = False

@@ -29,7 +29,6 @@ def constrained_mbe(
     min_right: int,
     sink: BicliqueSink | None = None,
     *,
-    relabel: bool = True,
     core_reduce: bool = True,
 ) -> EnumerationResult:
     """Enumerate maximal bicliques with ``|L| ≥ min_left``, ``|R| ≥ min_right``.
@@ -68,7 +67,6 @@ def constrained_mbe(
             min_left,
             min_right,
             mapped_sink,
-            relabel=relabel,
             core_reduce=False,
         )
 
@@ -83,4 +81,4 @@ def constrained_mbe(
         min_left=eff_left,
         min_right=eff_right,
     )
-    return run_baseline(graph, sink, options, order="degree", relabel=relabel)
+    return run_baseline(graph, sink, options, order="degree")

@@ -25,8 +25,6 @@ _OPTIONS = EngineOptions(order="count_asc", absorb_equal_left=True, nls_prune=Fa
 def imbea(
     graph: BipartiteGraph,
     sink: BicliqueSink | None = None,
-    *,
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the iMBEA baseline."""
-    return run_baseline(graph, sink, _OPTIONS, order="degree", relabel=relabel)
+    return run_baseline(graph, sink, _OPTIONS, order="degree")

@@ -31,8 +31,6 @@ _OPTIONS = EngineOptions(order="id", absorb_equal_left=False, nls_prune=False)
 def mbea(
     graph: BipartiteGraph,
     sink: BicliqueSink | None = None,
-    *,
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the MBEA baseline.
 
@@ -43,8 +41,5 @@ def mbea(
     sink:
         Optional ``sink(L, R)`` callable receiving each maximal biclique
         (sorted numpy arrays).  Counting always happens regardless.
-    relabel:
-        Report bicliques in the input labeling (default) rather than the
-        internal prepared order.
     """
-    return run_baseline(graph, sink, _OPTIONS, order="degree", relabel=relabel)
+    return run_baseline(graph, sink, _OPTIONS, order="degree")

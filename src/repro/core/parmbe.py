@@ -44,7 +44,6 @@ def parmbe(
     n_workers: int = 96,
     mode: str = "serial",
     n_threads: int = 4,
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the ParMBE decomposition.
 
@@ -68,7 +67,7 @@ def parmbe(
     if sink is None:
         user_sink = None
     else:
-        user_sink = relabeling_sink(prepared, sink) if relabel else sink
+        user_sink = relabeling_sink(prepared, sink)
 
     tls = threading.local()
 

@@ -27,8 +27,6 @@ _OPTIONS = EngineOptions(order="id", absorb_equal_left=True, nls_prune=True)
 def pmbe(
     graph: BipartiteGraph,
     sink: BicliqueSink | None = None,
-    *,
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the PMBE baseline."""
-    return run_baseline(graph, sink, _OPTIONS, order="degree", relabel=relabel)
+    return run_baseline(graph, sink, _OPTIONS, order="degree")

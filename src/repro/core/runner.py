@@ -1,8 +1,8 @@
 """Common run wrapper shared by the serial CPU baselines.
 
 Each baseline = preprocessing choice + :class:`EngineOptions`.  The
-wrapper prepares the graph, runs the engine, and (by default) relabels
-reported bicliques back to the caller's original vertex ids so results
+wrapper prepares the graph, runs the engine, and relabels reported
+bicliques back to the caller's original vertex ids so results
 are directly comparable across algorithms and against the oracle.
 """
 
@@ -34,7 +34,6 @@ def run_baseline(
     options: EngineOptions,
     *,
     order: str = "degree",
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Prepare ``graph``, run the engine, and package the result."""
     from .bicliques import BicliqueCounter
@@ -44,7 +43,7 @@ def run_baseline(
     if sink is None:
         effective: BicliqueSink = counting
     else:
-        inner = relabeling_sink(prepared, sink) if relabel else sink
+        inner = relabeling_sink(prepared, sink)
 
         def _tee(left: np.ndarray, right: np.ndarray) -> None:
             counting(left, right)

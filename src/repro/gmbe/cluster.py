@@ -127,7 +127,6 @@ def gmbe_cluster(
     *,
     cluster: ClusterSpec = ClusterSpec(),
     config: GMBEConfig = DEFAULT_CONFIG,
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with GMBE on a simulated cluster.
 
@@ -141,7 +140,6 @@ def gmbe_cluster(
         config=config,
         device=cluster.device,
         n_gpus=cluster.n_gpus,
-        relabel=relabel,
         root_pull_surcharges=cluster.surcharges(),
     )
     result.extras["cluster"] = cluster

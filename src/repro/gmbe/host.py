@@ -74,7 +74,6 @@ def gmbe_host(
     sink: BicliqueSink | None = None,
     *,
     config: GMBEConfig = DEFAULT_CONFIG,
-    relabel: bool = True,
 ) -> EnumerationResult:
     """Sequentially enumerate all maximal bicliques with GMBE semantics."""
     prepared = prepare(graph, order=config.order)
@@ -83,7 +82,7 @@ def gmbe_host(
     if sink is None:
         inner = None
     else:
-        inner = relabeling_sink(prepared, sink) if relabel else sink
+        inner = relabeling_sink(prepared, sink)
 
     def emit(left: np.ndarray, right: np.ndarray) -> None:
         counting(left, right)

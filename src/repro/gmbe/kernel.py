@@ -191,20 +191,17 @@ class _EmissionLedger:
     __slots__ = ("count", "sink", "batch_sink", "batch_labels",
                  "executed", "records")
 
-    def __init__(self, prepared, sink, *, relabel: bool, robust: bool,
+    def __init__(self, prepared, sink, *, robust: bool,
                  keep_records: bool) -> None:
         self.count = 0
         #: per-emission delivery, relabelled to input labels on the way
-        self.sink = None if sink is None else (
-            relabeling_sink(prepared, sink) if relabel else sink
-        )
+        self.sink = None if sink is None else relabeling_sink(prepared, sink)
         #: batch pairs bypass ``self.sink``: when retained records do
         #: not pin prepared labels, a batch is relabelled once, for the
         #: whole batch, to ``batch_labels`` (see ``_compute_batch``)
         self.batch_sink = sink
         self.batch_labels = (
-            prepared if sink is not None and relabel and not keep_records
-            else None
+            prepared if sink is not None and not keep_records else None
         )
         #: lineages whose execute() has already delivered emissions
         #: (None when not robust: nothing is ever re-executed)
@@ -797,7 +794,6 @@ def gmbe_gpu(
     config: GMBEConfig = DEFAULT_CONFIG,
     device: DeviceSpec = A100,
     n_gpus: int = 1,
-    relabel: bool = True,
     local_queue_capacity: int = 64,
     root_pull_surcharges: list[float] | None = None,
     root_mask=None,
@@ -910,7 +906,7 @@ def gmbe_gpu(
         or halt_after_tasks is not None
     )
     ledger = _EmissionLedger(
-        prepared, sink, relabel=relabel, robust=robust,
+        prepared, sink, robust=robust,
         keep_records=checkpoint_path is not None,
     )
     kernel = _Kernel(

@@ -10,10 +10,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "FAULT_KINDS FaultDecision FaultEvent FaultLog FaultPlan "
         "ReplayFaultPlan replay_plan"
     ),
-    ".extras": "require_sim_extras",
     ".memory": "MemoryDemand MemoryModel",
-    ".profiler": "KernelProfile profile_run",
-    ".trace": "chrome_trace_events write_chrome_trace",
     ".queues": "QueueStats TwoLevelTaskQueue",
     ".scheduler": (
         "ExecOutcome LineageEntry PersistentThreadScheduler SimReport"

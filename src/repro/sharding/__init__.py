@@ -15,8 +15,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".coordinator": (
-        "ShardCoordinator ShardMergeError ShardReport iter_merged "
-        "merge_shard_results"
+        "ShardCoordinator ShardMergeError ShardReport merge_shard_results"
     ),
     ".degraded": "DegradedShardRun ResumeHandle",
     ".plan": "BALANCERS ShardPlan root_weights",

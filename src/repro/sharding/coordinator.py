@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import atexit
 import heapq
+import itertools
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, CancelledError
@@ -68,7 +69,6 @@ __all__ = [
     "ShardCoordinator",
     "ShardReport",
     "ShardMergeError",
-    "iter_merged",
     "merge_shard_results",
 ]
 
@@ -226,39 +226,31 @@ class ShardMergeError(RuntimeError):
     """
 
 
-def iter_merged(results: list[ShardResult]):
-    """K-way stream-merge per-shard sorted lists, yielding in order.
+def merge_shard_results(results: list[ShardResult]) -> list[Biclique]:
+    """K-way merge per-shard sorted lists into one ordered list.
 
     Raises :class:`ShardMergeError` on any duplicate — disjoint
     ownership means equal bicliques from two shards indicate a plan
-    mismatch, not a benign overlap.  A generator so consumers that
-    compress or page (``StoredResultSet.from_bicliques(iter_merged(...))``)
-    never hold the merged list.
+    mismatch, not a benign overlap.
     """
-    def _stream(result: ShardResult):
-        for b in result.bicliques:
-            yield (b, result.shard_id)
-
-    streams = [
-        _stream(r) for r in sorted(results, key=lambda r: r.shard_id)
-    ]
-    prev: tuple[Biclique, int] | None = None
     # (biclique, shard_id) pairs compare as tuples, in C; streams are in
     # shard order, so ties break exactly as a stable merge would
+    streams = [
+        zip(r.bicliques, itertools.repeat(r.shard_id))
+        for r in sorted(results, key=lambda r: r.shard_id)
+    ]
+    merged: list[Biclique] = []
+    prev_shard = -1
     for item, shard_id in heapq.merge(*streams):
-        if prev is not None and item == prev[0]:
+        if merged and item == merged[-1]:
             raise ShardMergeError(
                 f"duplicate biclique L={item.left} R={item.right} emitted "
-                f"by shards {prev[1]} and {shard_id} — the shards did not "
-                f"run under one plan (ownership sets must be disjoint)"
+                f"by shards {prev_shard} and {shard_id} — the shards did "
+                f"not run under one plan (ownership sets must be disjoint)"
             )
-        yield item
-        prev = (item, shard_id)
-
-
-def merge_shard_results(results: list[ShardResult]) -> list[Biclique]:
-    """K-way stream-merge per-shard sorted lists into one ordered list."""
-    return list(iter_merged(results))
+        merged.append(item)
+        prev_shard = shard_id
+    return merged
 
 
 @dataclass

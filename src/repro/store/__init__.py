@@ -24,5 +24,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "encode_blocks"
     ),
     ".provenance": "pack_lineages unpack_lineages",
-    ".resultset": "ResultStoreWriter StoredResultSet materialized_nbytes",
+    ".resultset": "StoredResultSet materialized_nbytes",
 })

@@ -72,17 +72,16 @@ class Block:
         return int(self.data.nbytes)
 
 
-def encode_blocks(lefts, rights, block_records: int = DEFAULT_BLOCK_RECORDS,
-                  *, start: int = 0) -> list[Block]:
+def encode_blocks(lefts, rights,
+                  block_records: int = DEFAULT_BLOCK_RECORDS) -> list[Block]:
     """Encode records ``(lefts[k], rights[k])`` into blocks in one pass.
 
     ``lefts`` and ``rights`` are equal-length sequences of sides, each a
-    sequence of ints.  Record ``k`` gets stream ordinal ``start + k``, so
-    ``start`` must fall on a block boundary of the stream the blocks
-    join.  Every step is an array operation over the ragged flat sides:
-    per-side LCPs by one gathered compare, gaps by a shifted
-    difference, words scattered to ``cumsum`` offsets and block maxima
-    by ``np.maximum.reduceat``.
+    sequence of ints; record ``k`` gets stream ordinal ``k``.  Every
+    step is an array operation over the ragged flat sides: per-side
+    LCPs by one gathered compare, gaps by a shifted difference, words
+    scattered to ``cumsum`` offsets and block maxima by
+    ``np.maximum.reduceat``.
 
     Raises :class:`ValueError` (and encodes nothing) naming the first
     record with a side that is not strictly increasing non-negative ints
@@ -105,7 +104,7 @@ def encode_blocks(lefts, rights, block_records: int = DEFAULT_BLOCK_RECORDS,
             ("left", lefts) if left.first_bad == bad else ("right", rights)
         )
         raise ValueError(
-            f"record {start + bad}: {name} side "
+            f"record {bad}: {name} side "
             f"{tuple(int(x) for x in raw[bad])!r} is not strictly "
             f"increasing non-negative vertex ids with deltas below 2**32"
         )
@@ -126,7 +125,7 @@ def encode_blocks(lefts, rights, block_records: int = DEFAULT_BLOCK_RECORDS,
     max_l = np.maximum.reduceat(left.lens, cuts)
     max_r = np.maximum.reduceat(right.lens, cuts)
     return [
-        Block(start + a, b - a, ml, mr, words[pos[a]:pos[b]])
+        Block(a, b - a, ml, mr, words[pos[a]:pos[b]])
         for a, b, ml, mr in zip(cuts.tolist(), ends.tolist(),
                                 max_l.tolist(), max_r.tolist())
     ]

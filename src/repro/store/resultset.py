@@ -24,6 +24,8 @@ the service's process boundaries); ``page()`` discovers the ambient
 
 from __future__ import annotations
 
+import numbers
+
 from ..core.bicliques import Biclique
 from .encode import (
     DEFAULT_BLOCK_RECORDS,
@@ -32,7 +34,7 @@ from .encode import (
     encode_blocks,
 )
 
-__all__ = ["ResultStoreWriter", "StoredResultSet", "materialized_nbytes"]
+__all__ = ["StoredResultSet", "materialized_nbytes"]
 
 #: Cost model for materialized results: a Biclique object + two tuples
 #: (~96 bytes) + 8 bytes per vertex id.  Used to report the compression
@@ -58,9 +60,9 @@ def materialized_nbytes(bicliques) -> int:
 class StoredResultSet:
     """Immutable, ordered, compressed set of bicliques.
 
-    Build with :meth:`from_bicliques` or through a
-    :class:`ResultStoreWriter`; the record order is exactly the append
-    order (the service stores sorted results, so iteration is sorted).
+    Build with :meth:`from_bicliques`; the record order is exactly the
+    input order (the service stores sorted results, so iteration is
+    sorted).
     """
 
     def __init__(
@@ -155,8 +157,11 @@ class StoredResultSet:
         means "from the start"; a returned ``next_cursor`` of ``None``
         means the stream is exhausted.
         """
+        # bool is an int subclass; limit=True is a caller bug, not a 1.
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Integral):
+            raise ValueError(f"limit must be a positive integer, got {limit!r}")
         if limit < 1:
-            raise ValueError(f"limit must be positive, got {limit}")
+            raise ValueError(f"limit must be positive, got {int(limit)}")
         start = _parse_cursor(cursor)
         items = []
         next_cursor = None
@@ -236,72 +241,3 @@ def _note_store(store: StoredResultSet) -> None:
         "store.results.blocks": store.n_blocks,
     })
 
-
-#: Records a writer buffers before encoding them, rounded down to whole
-#: blocks so every run starts a block and memory stays bounded.
-_RUN_RECORDS = 4096
-
-
-class ResultStoreWriter:
-    """Streaming builder for a :class:`StoredResultSet`.
-
-    Implements the :class:`~repro.core.bicliques.BicliqueSink` protocol
-    (``writer(left, right)`` with sorted numpy arrays), so any
-    enumerator — the GMBE kernel's emission ledger, the shard merge, a
-    CPU baseline — can write straight into the store with no
-    intermediate list.  Records are checked on append and encoded by
-    :func:`~repro.store.encode.encode_blocks` in runs of whole blocks,
-    so the blocks equal those of one pass over the whole stream.
-    """
-
-    def __init__(self, *, block_records: int = DEFAULT_BLOCK_RECORDS) -> None:
-        if block_records < 1:
-            raise ValueError(
-                f"block_records must be positive, got {block_records}"
-            )
-        self.block_records = block_records
-        self._run = max(1, _RUN_RECORDS // block_records) * block_records
-        self._lefts: list = []
-        self._rights: list = []
-        self._blocks: list = []
-        self._count = 0
-        self._finished = False
-
-    def append(self, left, right) -> None:
-        """Add one biclique given any sorted int sequences; a malformed
-        side raises :class:`ValueError` and keeps nothing of the record."""
-        if self._finished:
-            raise RuntimeError("writer already finished")
-        left, right = tuple(left), tuple(right)
-        # encoding the record alone applies encode_blocks' one check
-        encode_blocks([left], [right], start=self._count)
-        self._lefts.append(left)
-        self._rights.append(right)
-        self._count += 1
-        if len(self._lefts) == self._run:
-            self._flush()
-
-    # BicliqueSink protocol
-    __call__ = append
-
-    def _flush(self) -> None:
-        self._blocks += encode_blocks(
-            self._lefts,
-            self._rights,
-            self.block_records,
-            start=self._count - len(self._lefts),
-        )
-        self._lefts = []
-        self._rights = []
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def finish(self) -> StoredResultSet:
-        """Freeze into a :class:`StoredResultSet` and report metrics."""
-        self._flush()
-        self._finished = True
-        store = StoredResultSet(self._blocks, self._count)
-        _note_store(store)
-        return store

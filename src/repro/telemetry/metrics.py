@@ -20,8 +20,8 @@ different instrument type is a :class:`ValueError` — silent type
 clashes are how metrics rot.
 
 The instruments are deliberately plain Python (an attribute increment,
-a deque append): cheap enough to be always-on, exactly like the GPU
-profiler they complement.
+a deque append): cheap enough to be always-on, exactly like the
+simulator's own cost counters they complement.
 """
 
 from __future__ import annotations

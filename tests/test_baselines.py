@@ -146,10 +146,10 @@ class TestSinks:
         assert len(lines) == 6
         assert all("|" in line for line in lines)
 
-    def test_relabel_false_gives_prepared_labels(self):
+    def test_swapped_graph_reports_input_labels(self):
         g = random_bipartite(6, 9, 0.4, seed=2)  # will be swapped
         col_in = BicliqueCollector()
-        oombea(g, col_in, relabel=True)
+        oombea(g, col_in)
         for b in col_in.bicliques:
             is_bc, is_max = verify_biclique(g, b.left, b.right)
             assert is_bc and is_max

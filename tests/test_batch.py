@@ -441,8 +441,7 @@ class TestKernelEquivalence:
 
 
 class TestDeliveryAndAdmission:
-    @pytest.mark.parametrize("relabel", [True, False])
-    def test_delivery_order_and_dtypes_identical(self, relabel):
+    def test_delivery_order_and_dtypes_identical(self):
         """Unsorted: the kernel delivers the same arrays, in the same
         order and dtypes, with batching on as off — mixed-width roots."""
         g = make_mixed_width(200, 12, seed=1)
@@ -454,7 +453,7 @@ class TestDeliveryAndAdmission:
                 out.append((L.dtype, R.dtype, tuple(L), tuple(R)))
 
             config = GMBEConfig(batch_tasks=batch_tasks, set_backend="bitset")
-            return gmbe_gpu(g, sink, config=config, relabel=relabel), out
+            return gmbe_gpu(g, sink, config=config), out
 
         r_off, e_off = run("off")
         r_on, e_on = run("auto")
@@ -507,7 +506,7 @@ class TestDeliveryAndAdmission:
                 out.append((L.dtype, R.dtype, tuple(L), tuple(R)))
 
             config = GMBEConfig(batch_tasks=batch_tasks, set_backend="bitset")
-            return gmbe_gpu(g, sink, config=config, relabel=True), out
+            return gmbe_gpu(g, sink, config=config), out
 
         r_off, e_off = run("off")
         r_on, e_on = run("auto")

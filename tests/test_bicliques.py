@@ -143,22 +143,19 @@ class TestEnumerationResult:
 
 def _enumerators():
     """Every API algorithm with its defaults, plus both GMBE variants
-    with relabelling on and off and batching off and auto."""
+    with batching off and auto."""
     from repro.gmbe import GMBEConfig, gmbe_gpu, gmbe_host
 
     out = {"gmbe": gmbe_gpu, "gmbe-host": gmbe_host}
     for name, fn in api._ALGORITHMS.items():
         if fn is not None:
             out[name] = fn
-    for relabel in (True, False):
-        for batch in ("off", "auto"):
-            cfg = GMBEConfig(batch_tasks=batch, set_backend="bitset")
-            for name, fn in (("gmbe", gmbe_gpu), ("gmbe-host", gmbe_host)):
-                out[f"{name}-relabel={relabel}-batch={batch}"] = (
-                    lambda g, sink, fn=fn, cfg=cfg, relabel=relabel: fn(
-                        g, sink, config=cfg, relabel=relabel
-                    )
-                )
+    for batch in ("off", "auto"):
+        cfg = GMBEConfig(batch_tasks=batch, set_backend="bitset")
+        for name, fn in (("gmbe", gmbe_gpu), ("gmbe-host", gmbe_host)):
+            out[f"{name}-batch={batch}"] = (
+                lambda g, sink, fn=fn, cfg=cfg: fn(g, sink, config=cfg)
+            )
     return out
 
 
@@ -170,7 +167,7 @@ class TestSinkContract:
     must hand sinks strictly increasing arrays."""
 
     def test_covers_every_api_algorithm(self):
-        covered = {k.split("-relabel")[0] for k in _ENUMERATORS}
+        covered = {k.split("-batch")[0] for k in _ENUMERATORS}
         assert covered == set(api._ALGORITHMS)
 
     @pytest.mark.parametrize("name", sorted(_ENUMERATORS))

@@ -85,3 +85,23 @@ class TestMainErrors:
         assert gate_mod.main([]) == 1
         err = capsys.readouterr().err
         assert "does not exist" in err and "--update" in err
+
+
+class TestFailureMessages:
+    def test_absolute_floor_printed_to_two_places(
+        self, gate_mod, capsys, tmp_path
+    ):
+        # faults has a 0.95 floor; a 0.93 run is within the regression
+        # tolerance of a 0.96 snapshot, so only the floor check fails
+        (gate,) = [g for g in gate_mod.GATES if g.name == "faults"]
+        path = tmp_path / "BENCH_faults.json"
+        path.write_text(json.dumps({gate.metric: 0.96}))
+        fake = gate_mod.Gate(
+            name=gate.name, path=path, metric=gate.metric,
+            run=lambda: {gate.metric: 0.93},
+            tolerance=gate.tolerance, floor=gate.floor,
+        )
+        assert not gate_mod.check_gate(fake, update=False)
+        out = capsys.readouterr().out
+        assert "below the 0.95x acceptance floor (0.93x)" in out
+        assert "regressed" not in out

@@ -6,7 +6,12 @@ import pytest
 from repro.core import BicliqueCollector, reference_mbe
 from repro.gmbe import GMBEConfig, gmbe_gpu, gmbe_host
 from repro.gpusim import A100, RTX2080TI, V100
-from repro.graph import crown_graph, power_law_bipartite, random_bipartite
+from repro.graph import (
+    complete_bipartite,
+    crown_graph,
+    power_law_bipartite,
+    random_bipartite,
+)
 
 SPLIT_HARD = GMBEConfig(bound_height=2, bound_size=4)
 
@@ -167,7 +172,23 @@ class TestSimulationOutputs:
         assert stats.local_dequeues + stats.global_dequeues > 0
 
     def test_warp_efficiency_in_range(self, run):
+        # §6.2's warp execution efficiency: useful set-op lanes over the
+        # 32 lanes of every charged SIMT warp step
+        c = run.counters
+        assert run.extras["warp_efficiency"] == (
+            c.set_op_work / (32 * c.simt_cycles)
+        )
         assert 0.0 < run.extras["warp_efficiency"] <= 1.0
+
+    def test_divergent_workload_lowers_efficiency(self):
+        """Hub-skewed candidates (many short rows) waste lanes vs a
+        dense uniform graph."""
+        dense = gmbe_gpu(complete_bipartite(64, 40))
+        sparse = gmbe_gpu(random_bipartite(200, 150, 0.02, seed=3))
+        assert (
+            sparse.extras["warp_efficiency"]
+            < dense.extras["warp_efficiency"]
+        )
 
     def test_recorder_intervals_well_formed(self, run):
         rec = run.extras["report"].recorders[0]

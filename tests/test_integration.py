@@ -1,11 +1,10 @@
 """End-to-end integration: the full pipeline a downstream user runs.
 
 Generate a realistic workload → enumerate on the simulated GPU →
-certify with the independent verifier → profile and export a trace.
+certify with the independent verifier → read the kernel profile and
+its active-SM timeline.
 One scenario, every layer.
 """
-
-import json
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro import enumerate_maximal_bicliques, verify_enumeration
 from repro.bench.common import scale_device
 from repro.core import BicliqueCollector
 from repro.gmbe import GMBEConfig, gmbe_gpu
-from repro.gpusim import A100, profile_run, write_chrome_trace
+from repro.gpusim import A100, active_sm_curve
 from repro.graph import planted_bicliques
 
 
@@ -44,14 +43,14 @@ class TestPipeline:
         via_facade = enumerate_maximal_bicliques(graph, algorithm="oombea")
         assert set(via_facade) == collector.as_set()
 
-    def test_profile_and_trace(self, workload, tmp_path):
+    def test_profile_and_trace(self, workload):
         _, _, result = workload
-        profile = profile_run(result)
-        assert 0 < profile.warp_execution_efficiency <= 1
-        path = tmp_path / "trace.json"
-        n = write_chrome_trace(result, path)
-        assert n > 0
-        assert json.loads(path.read_text())["traceEvents"]
+        assert 0 < result.extras["warp_efficiency"] <= 1
+        device = result.extras["device"]
+        (recorder,) = result.extras["report"].recorders
+        times, counts = active_sm_curve(recorder, n_samples=50)
+        assert len(times) == len(counts) == 50
+        assert 0 < counts.max() <= device.n_sms
 
     def test_simulation_metadata_consistent(self, workload):
         _, collector, result = workload

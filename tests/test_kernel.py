@@ -110,6 +110,8 @@ _GRAPHS = {
     "mixed40": lambda: make_mixed_width(40, 16, seed=2),
 }
 _BOUNDS = {"default": {}, "tight": {"bound_height": 2, "bound_size": 8}}
+#: the boolean axis is ``deliver``: True hands every emission to a
+#: sink, False is a count-only run (``sink=None``)
 _MATRIX = list(itertools.product(
     _GRAPHS, ("task", "warp", "block"), ("off", "auto"), (True, False),
     _BOUNDS,
@@ -132,7 +134,7 @@ def _config(scheduling, batch_tasks, bounds):
 def _run(case, **kw):
     """Run one matrix case; returns the result and the ordered
     ``(L.dtype, R.dtype, L, R)`` delivery sequence."""
-    graph, scheduling, batch_tasks, relabel, bounds = case
+    graph, scheduling, batch_tasks, deliver, bounds = case
     out = []
 
     def sink(left, right):
@@ -140,10 +142,16 @@ def _run(case, **kw):
                     left.tolist(), right.tolist()))
 
     res = gmbe_gpu(
-        _graph(graph), sink, config=_config(scheduling, batch_tasks, bounds),
-        relabel=relabel, **kw,
+        _graph(graph), sink if deliver else None,
+        config=_config(scheduling, batch_tasks, bounds), **kw,
     )
     return res, out
+
+
+def _n_delivered(case):
+    """Emissions a delivering plain run of ``case`` hands its sink."""
+    graph, scheduling, batch_tasks, _deliver, bounds = case
+    return len(_plain((graph, scheduling, batch_tasks, True, bounds))[1])
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +173,7 @@ class TestEmissionModeMatrix:
             assert res.sim_time == plain.sim_time
             assert (res.extras["set_backend_tasks"]
                     == plain.extras["set_backend_tasks"])
-            assert res.n_maximal == plain.n_maximal == len(plain_out)
+            assert res.n_maximal == plain.n_maximal == _n_delivered(case)
 
     @pytest.mark.parametrize("case", _MATRIX, ids=_IDS)
     def test_halt_and_resume_same_set(self, case, tmp_path):
@@ -186,7 +194,7 @@ class TestEmissionModeMatrix:
         assert all(sorted(s) == list(range(len(s))) for s in seqs.values())
         res, out = _run(case, checkpoint_path=ckpt, resume=True)
         assert sorted(out) == sorted(plain_out)
-        assert res.n_maximal == plain.n_maximal
+        assert res.n_maximal == plain.n_maximal == _n_delivered(case)
 
 
 # ---------------------------------------------------------------------------

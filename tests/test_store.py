@@ -19,7 +19,6 @@ from repro.gmbe import GMBEConfig, gmbe_gpu
 from repro.graph import random_bipartite
 from repro.store import (
     Block,
-    ResultStoreWriter,
     StoredResultSet,
     count_records,
     decode_blocks,
@@ -145,26 +144,14 @@ class TestEncoding:
                             _oracle_blocks(recs, block_records))
 
     @pytest.mark.parametrize("block_records", [1, 2, 7, 256])
-    def test_writer_runs_match_oracle(self, block_records, monkeypatch):
-        from repro.store import resultset
-
-        # runs of a few blocks, so the stream is encoded in many pieces
-        monkeypatch.setattr(resultset, "_RUN_RECORDS", 3 * block_records)
+    def test_from_bicliques_matches_oracle(self, block_records):
         recs = _random_records(random.Random(9), 1000, n_u=12, n_v=15)
-        writer = ResultStoreWriter(block_records=block_records)
-        for left, right in recs:
-            writer.append(np.array(left), right)
-        store = writer.finish()
+        store = StoredResultSet.from_bicliques(
+            (Biclique(l, r) for l, r in recs), block_records=block_records,
+        )
         _assert_same_blocks(store._blocks,
                             _oracle_blocks(recs, block_records))
-        assert writer.count == len(store) == len(recs)
-        _assert_same_blocks(
-            StoredResultSet.from_bicliques(
-                (Biclique(l, r) for l, r in recs),
-                block_records=block_records,
-            )._blocks,
-            _oracle_blocks(recs, block_records),
-        )
+        assert len(store) == len(recs)
 
     def test_blocks_decode_independently(self):
         rng = random.Random(5)
@@ -185,20 +172,16 @@ class TestEncoding:
         bqs = [Biclique(l, r) for l, r in recs]
         assert store.nbytes < 0.25 * materialized_nbytes(bqs)
 
-    def test_add_after_finish_is_an_error(self):
-        writer = ResultStoreWriter()
-        writer.append((1,), (2,))
-        writer.finish()
-        with pytest.raises(RuntimeError, match="finished"):
-            writer.append((1,), (3,))
+    def test_nonpositive_block_records_rejected(self):
         with pytest.raises(ValueError, match="block_records"):
-            ResultStoreWriter(block_records=0)
+            StoredResultSet.from_bicliques([Biclique((1,), (2,))],
+                                           block_records=0)
         with pytest.raises(ValueError, match="block_records"):
             encode_blocks([(1,)], [(2,)], 0)
 
     def test_empty_stream(self):
         assert encode_blocks([], []) == []
-        assert ResultStoreWriter().finish().n_blocks == 0
+        assert StoredResultSet.from_bicliques([]).n_blocks == 0
         store = StoredResultSet([], 0)
         assert len(store) == 0 and list(store) == []
         items, cur = store.page(None, 10)
@@ -290,43 +273,23 @@ class TestStoredResultSet:
             store.page("-4", 10)
         with pytest.raises(ValueError, match="limit"):
             store.page(None, 0)
-
-    def test_writer_sink_protocol_accepts_numpy(self):
-        writer = ResultStoreWriter()
-        writer(np.array([3, 5]), np.array([1, 2, 9]))
-        writer.append((0, 7), [4])
-        store = writer.finish()
-        assert list(store) == [
-            Biclique((3, 5), (1, 2, 9)),
-            Biclique((0, 7), (4,)),
-        ]
-        assert writer.count == 2
+        # non-integral limits and bools are rejected naming the value,
+        # never rounded (1.5 served 2 items) or compared (None, "2")
+        for bad in (1.5, True, "2", None):
+            with pytest.raises(ValueError, match=f"limit .*{bad!r}"):
+                store.page(None, bad)
+        items, _ = store.page(None, np.int64(3))
+        assert len(items) == 3
 
     @pytest.mark.parametrize("left, right, side", [
         ((3, 1), (2,), "left"),    # unsorted
+        ((1,), (-2, 4), "right"),  # negative id
+        ((2**63,), (2,), "left"),  # id overflows int64
+        ((0, 2**33), (1,), "left"),  # delta word overflows uint32
         ((1, 1), (2,), "left"),    # repeated vertex
         ((-1,), (2,), "left"),     # negative id
-        ((0, 4), (5, 5), "right"),
-        ((0, 2**33), (1,), "left"),  # delta word overflows uint32
+        ((0, 4), (5, 5), "right"),  # repeated vertex
         ((0,), (1, 2**64), "right"),  # id overflows int64
-    ])
-    def test_writer_rejects_malformed_sides(self, left, right, side):
-        writer = ResultStoreWriter()
-        writer.append((0, 4), (2, 5))
-        with pytest.raises(ValueError, match=f"record 1: {side} side"):
-            writer.append(left, right)
-        # the rejected record left no trace in the stream
-        writer.append((0, 5), (2,))
-        assert list(writer.finish()) == [
-            Biclique((0, 4), (2, 5)),
-            Biclique((0, 5), (2,)),
-        ]
-
-    @pytest.mark.parametrize("left, right, side", [
-        ((3, 1), (2,), "left"),
-        ((1,), (-2, 4), "right"),
-        ((2**63,), (2,), "left"),  # id overflows int64
-        ((0, 2**33), (1,), "left"),
     ])
     def test_from_bicliques_names_first_bad_record(self, left, right, side):
         good = Biclique((0, 4), (2, 5))
@@ -423,27 +386,28 @@ class TestEndToEnd:
     def test_kernel_emission_ledger_writes_into_store(self):
         graph = random_bipartite(18, 16, 0.3, seed=21)
         collector = BicliqueCollector()
-        gmbe_gpu(graph, collector, config=GMBEConfig())
-        writer = ResultStoreWriter()
-        res = gmbe_gpu(graph, writer, config=GMBEConfig())
-        store = writer.finish()
+        res = gmbe_gpu(graph, collector, config=GMBEConfig())
+        store = StoredResultSet.from_bicliques(collector.bicliques)
         # same emission order, not just the same set
+        assert collector.bicliques != sorted(collector.bicliques)
         assert store.as_tuple() == tuple(collector.bicliques)
         assert res.n_maximal == len(store)
 
     def test_shard_merge_streams_into_store(self):
-        from repro.sharding import ShardCoordinator, iter_merged
+        from repro.sharding import ShardCoordinator, merge_shard_results
 
         graph = random_bipartite(22, 20, 0.3, seed=6)
         report = ShardCoordinator(graph, 3).run()
-        store = StoredResultSet.from_bicliques(iter_merged(report.shards))
+        store = StoredResultSet.from_bicliques(
+            merge_shard_results(report.shards)
+        )
         assert list(store) == report.bicliques
         single = enumerate_maximal_bicliques(graph, algorithm="gmbe")
         assert sorted(store) == single
 
     def test_shard_merge_to_store_refuses_duplicates(self):
         from repro.core.bicliques import Counters
-        from repro.sharding import ShardMergeError, iter_merged
+        from repro.sharding import ShardMergeError, merge_shard_results
         from repro.sharding.runner import ShardResult
 
         b = Biclique((1,), (2,))
@@ -453,7 +417,7 @@ class TestEndToEnd:
             for i in range(2)
         ]
         with pytest.raises(ShardMergeError, match="duplicate"):
-            StoredResultSet.from_bicliques(iter_merged(shards))
+            StoredResultSet.from_bicliques(merge_shard_results(shards))
 
     def test_store_metrics_registered(self):
         from repro.telemetry import Telemetry, use_telemetry
