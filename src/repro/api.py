@@ -25,6 +25,7 @@ from .core import (
     parmbe,
     pmbe,
 )
+from .core.bicliques import validate_size_filters
 from .gmbe import GMBEConfig, gmbe_gpu, gmbe_host
 from .graph import BipartiteGraph
 
@@ -71,17 +72,6 @@ def as_bipartite_graph(data) -> BipartiteGraph:
     )
 
 
-def _validate_size_filter(name: str, value) -> int:
-    # bool is an int subclass; min_left=True is a caller bug, not a 1.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(
-            f"{name} must be a non-negative integer, got {value!r}"
-        )
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {int(value)}")
-    return int(value)
-
-
 def validate_shards(shards) -> int:
     """Validate a shard count: a positive integer (numpy integers are
     coerced; bools are rejected)."""
@@ -90,19 +80,6 @@ def validate_shards(shards) -> int:
     if shards < 1:
         raise ValueError(f"shards must be positive, got {int(shards)}")
     return int(shards)
-
-
-def validate_size_filters(min_left, min_right) -> tuple[int, int]:
-    """Validate ``min_left``/``min_right`` size-filter arguments.
-
-    Negative or non-integral values (including bools) raise
-    :class:`ValueError` naming the offending value instead of silently
-    filtering wrong — numpy integers are accepted and coerced.
-    """
-    return (
-        _validate_size_filter("min_left", min_left),
-        _validate_size_filter("min_right", min_right),
-    )
 
 
 def enumerate_maximal_bicliques(
@@ -167,7 +144,7 @@ def enumerate_maximal_bicliques(
     shards, shard_balancer:
         With ``shards > 1`` (``algorithm="gmbe"`` only) the enumeration
         runs as N independent shard-jobs over disjoint root-task
-        ownership sets and the results are stream-merged — bit-identical
+        ownership sets and the sorted results are merged — bit-identical
         to the single-node run (see :mod:`repro.sharding` and DESIGN.md
         §11).  ``checkpoint_path`` then names a *directory* holding one
         snapshot per shard (crashed shards resume individually);
@@ -241,8 +218,6 @@ def enumerate_maximal_bicliques(
             )
         else:
             config = None  # CPU baselines take no config; sentinel is moot
-    collector = BicliqueCollector()
-    found = collector.bicliques
     if (
         fault_plan is not None or checkpoint_path is not None or resume
     ) and algorithm != "gmbe":
@@ -272,31 +247,29 @@ def enumerate_maximal_bicliques(
             # This function's contract is the complete set; an explicit
             # partial must surface as an error that still carries it.
             raise DegradedShardRun(report)
-        # The merged report already holds canonical, sorted bicliques.
-        found = report.bicliques
-    elif algorithm == "gmbe":
-        gmbe_gpu(
-            graph,
-            collector,
-            config=config or GMBEConfig(),
-            fault_plan=fault_plan,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            telemetry=telemetry,
-        )
-    elif algorithm == "gmbe-host":
-        gmbe_host(graph, collector, config=config or GMBEConfig())
+        # The merged report is already sorted.
+        found = report.bicliques.filtered(min_left, min_right)
     else:
-        _ALGORITHMS[algorithm](graph, collector)
-    out = [
-        b
-        for b in found
-        if len(b.left) >= min_left and len(b.right) >= min_right
-    ]
-    out.sort()
+        collector = BicliqueCollector()
+        if algorithm == "gmbe":
+            gmbe_gpu(
+                graph,
+                collector,
+                config=config or GMBEConfig(),
+                fault_plan=fault_plan,
+                checkpoint_path=checkpoint_path,
+                checkpoint_every=checkpoint_every,
+                resume=resume,
+                telemetry=telemetry,
+            )
+        elif algorithm == "gmbe-host":
+            gmbe_host(graph, collector, config=config or GMBEConfig())
+        else:
+            _ALGORITHMS[algorithm](graph, collector)
+        found = collector.result().filtered(min_left, min_right).sorted()
+        del collector  # frees the unsorted run before the list is built
     if as_store:
         from .store import StoredResultSet
 
-        return StoredResultSet.from_bicliques(out)
-    return out
+        return StoredResultSet.from_bicliques(found)
+    return found.to_list()

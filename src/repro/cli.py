@@ -570,8 +570,7 @@ def _cmd_run(args) -> int:
                 for b in res.bicliques:
                     sink(np.asarray(b.left), np.asarray(b.right))
             if collector is not None:
-                # merged shard output is already canonical Bicliques
-                collector.bicliques.extend(res.bicliques)
+                collector.add(res.bicliques)
         elif args.algo == "gmbe" and getattr(args, "nodes", 1) > 1:
             from contextlib import nullcontext
 
@@ -663,7 +662,7 @@ def _cmd_run(args) -> int:
         from .store import StoredResultSet
 
         result_store = StoredResultSet.from_bicliques(
-            sorted(collector.bicliques)
+            collector.result().sorted()
         )
         try:
             items, next_cursor = result_store.page(

@@ -20,7 +20,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".bicliques": (
         "Biclique BicliqueCollector BicliqueCounter BicliqueSink "
-        "BicliqueWriter Counters EnumerationResult verify_biclique"
+        "BicliqueWriter Counters EnumerationResult RaggedBicliques "
+        "verify_biclique"
     ),
     ".bitset": "BitsetUniverse resolve_backend",
     ".constrained": "constrained_mbe",

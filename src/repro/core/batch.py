@@ -47,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bicliques import Counters
+from .bicliques import Counters, RaggedBicliques, _offsets
 from .bitset import WORD_BITS, BitsetUniverse, popcount_words
 
 __all__ = [
@@ -179,42 +179,28 @@ class BatchStats:
     lanes: list[int] = field(default_factory=list)
 
 
-class BatchEmissions:
-    """Every biclique one :func:`run_batch` call reported, as one flat
-    ragged buffer.
+class BatchEmissions(RaggedBicliques):
+    """Every biclique one :func:`run_batch` call reported, as ragged
+    records in lockstep-round order: ``int32`` prepared-graph ids
+    (``int64`` input labels after :meth:`relabeled`).
 
-    Emission ``e`` is ``left[left_ptr[e]:left_ptr[e+1]]`` (sorted U ids)
-    and ``right[right_ptr[e]:right_ptr[e+1]]`` (sorted V ids), both
-    ``int32`` prepared-graph ids (``int64`` input labels after
-    :meth:`relabeled`).  Emissions are stored in lockstep-round order;
     ``order[member_ptr[i]:member_ptr[i+1]]`` lists member ``i``'s
     emission ids in that member's own traversal order.  Nothing per
     biclique is materialized until :meth:`pairs` slices it.
     """
 
-    __slots__ = (
-        "left", "left_ptr", "right", "right_ptr", "order", "member_ptr"
-    )
+    __slots__ = ("order", "member_ptr")
 
     def __init__(self, left, left_ptr, right, right_ptr, order, member_ptr):
-        self.left = left
-        self.left_ptr = left_ptr
-        self.right = right
-        self.right_ptr = right_ptr
-        self.order = order
-        self.member_ptr = member_ptr
+        super().__init__(left, left_ptr, right, right_ptr)
+        self.order, self.member_ptr = order, member_ptr
 
     @classmethod
     def empty(cls, n_members: int) -> "BatchEmissions":
         none = np.zeros(0, dtype=np.int32)
         ptr = np.zeros(1, dtype=np.int64)
-        return cls(
-            none, ptr, none, ptr, np.zeros(0, dtype=np.intp),
-            np.zeros(n_members + 1, dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return len(self.order)
+        return cls(none, ptr, none, ptr, np.zeros(0, dtype=np.intp),
+                   np.zeros(n_members + 1, dtype=np.int64))
 
     def pairs(self, member: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Member ``member``'s ``(left, right)`` emissions in traversal
@@ -229,45 +215,12 @@ class BatchEmissions:
             yield left[a:b], right[c:d]
 
     def relabeled(self, prepared) -> "BatchEmissions":
-        """The same emissions in ``prepared``'s input labels.
-
-        Emission for emission this equals
-        :meth:`~repro.graph.preprocess.PreparedGraph.biclique_to_input_labels`
-        (``int64``, sides swapped when ``prepared.swapped``), but costs
-        one fancy-index and one sort per side for the whole batch.  The
-        pointer, ``order`` and ``member_ptr`` arrays are shared.
-        """
-        left = _relabel_segments(self.left, self.left_ptr, prepared.u_original)
-        right = _relabel_segments(
-            self.right, self.right_ptr, prepared.v_original
-        )
-        if prepared.swapped:
-            return BatchEmissions(
-                right, self.right_ptr, left, self.left_ptr,
-                self.order, self.member_ptr,
-            )
-        return BatchEmissions(
-            left, self.left_ptr, right, self.right_ptr,
-            self.order, self.member_ptr,
-        )
-
-
-def _relabel_segments(
-    ids: np.ndarray, ptr: np.ndarray, table: np.ndarray
-) -> np.ndarray:
-    """``table[ids]`` re-sorted within each ``ptr`` segment (int64).
-
-    Adding ``segment * len(table)`` keeps every label inside its own
-    segment's key range, so one flat sort orders each segment in place.
-    """
-    labels = table[ids]
-    offsets = np.repeat(
-        np.arange(len(ptr) - 1, dtype=np.int64) * len(table), np.diff(ptr)
-    )
-    labels += offsets
-    labels.sort()
-    labels -= offsets
-    return labels
+        """The same emissions in ``prepared``'s input labels (see
+        :meth:`RaggedBicliques.relabeled`); ``order`` and ``member_ptr``
+        are shared."""
+        r = super().relabeled(prepared)
+        return BatchEmissions(r.left, r.left_ptr, r.right, r.right_ptr,
+                              self.order, self.member_ptr)
 
 
 def lane_state_bytes(
@@ -588,10 +541,3 @@ def _deepen(stack: np.ndarray, levels: int) -> np.ndarray:
     out = np.zeros(stack.shape[:1] + (levels,) + stack.shape[2:], stack.dtype)
     out[:, : stack.shape[1]] = stack
     return out
-
-
-def _offsets(lengths: np.ndarray) -> np.ndarray:
-    """``[0, cumsum(lengths)...]`` — ragged slice bounds."""
-    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    return ptr

@@ -2,20 +2,27 @@
 
 Every enumerator in the library reports maximal bicliques through a
 *sink* — any callable ``sink(L, R)`` receiving strictly increasing
-(sorted, duplicate-free) numpy integer arrays.  The
-provided sinks cover the common needs: counting (the paper only counts —
-its Table 1 reports ``Max. bicliques``), collecting for tests, and
-streaming to a file.  Enumerators also fill a shared :class:`Counters`
-record that backs Table 2 (ratio of non-maximal to maximal checks) and
-the simulator's cost model.
+(sorted, duplicate-free) numpy integer arrays, which may be views the
+enumerator reuses after the call returns.  The provided sinks cover the
+common needs: counting (the paper only counts — its Table 1 reports
+``Max. bicliques``), collecting, and streaming to a file.  A
+:class:`BicliqueCollector` is the one sink the GMBE kernel does not
+call per emission: it fills the collector with the whole run at once,
+as one :class:`RaggedBicliques` block (DESIGN.md §10).  Enumerators
+also fill a shared :class:`Counters` record that backs Table 2 (ratio
+of non-maximal to maximal checks) and the simulator's cost model.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Protocol, TextIO
 
 import numpy as np
+
+from .localcount import ragged_gather
 
 __all__ = [
     "Biclique",
@@ -25,6 +32,8 @@ __all__ = [
     "BicliqueWriter",
     "Counters",
     "EnumerationResult",
+    "RaggedBicliques",
+    "validate_size_filters",
     "verify_biclique",
 ]
 
@@ -60,9 +69,253 @@ class Biclique(NamedTuple):
         return len(self.left) * len(self.right)
 
 
+def _validate_size_filter(name: str, value) -> int:
+    # bool is an int subclass; min_left=True is a caller bug, not a 1.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {int(value)}")
+    return int(value)
+
+
+def validate_size_filters(min_left, min_right) -> tuple[int, int]:
+    """Validate ``min_left``/``min_right`` size-filter arguments.
+
+    Negative or non-integral values (including bools) raise
+    :class:`ValueError` naming the offending value instead of silently
+    filtering wrong — numpy integers are accepted and coerced.
+    """
+    return (
+        _validate_size_filter("min_left", min_left),
+        _validate_size_filter("min_right", min_right),
+    )
+
+
+def _offsets(lengths) -> np.ndarray:
+    """``[0, l0, l0 + l1, ...]`` as int64 record offsets."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+def _flatten(sides: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of ints as one int64 buffer plus record offsets.  An id
+    outside int64 becomes -1, which every consumer rejects."""
+    lens = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
+    total = int(lens.sum())
+    try:
+        flat = np.fromiter(chain.from_iterable(sides), np.int64, total)
+    except OverflowError:
+        flat = np.fromiter(
+            (x if 0 <= x < 2**63 else -1 for x in chain.from_iterable(sides)),
+            np.int64, total,
+        )
+    return flat, _offsets(lens)
+
+
+def _relabel_segments(
+    ids: np.ndarray, ptr: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """``table[ids]`` re-sorted within each ``ptr`` segment (int64).
+
+    Adding ``segment * len(table)`` keeps every label inside its own
+    segment's key range, so one flat sort orders each segment in place.
+    """
+    labels = table[ids]
+    offsets = np.repeat(
+        np.arange(len(ptr) - 1, dtype=np.int64) * len(table), np.diff(ptr)
+    )
+    labels += offsets
+    labels.sort()
+    labels -= offsets
+    return labels
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest unsigned dtype holding its values, when
+    that is narrower (never uint64, which would not mix with int64)."""
+    if a.size and a.min() < 0:
+        return a
+    dtype = np.min_scalar_type(int(a.max(initial=0)))
+    return a if dtype.itemsize >= a.dtype.itemsize else a.astype(dtype)
+
+
+def _unpickle(left, left_lens, right, right_lens) -> "RaggedBicliques":
+    return RaggedBicliques(left, _offsets(left_lens),
+                           right, _offsets(right_lens))
+
+
+class RaggedBicliques:
+    """An immutable sequence of bicliques held as flat arrays.
+
+    Record ``k`` is ``(left[left_ptr[k]:left_ptr[k+1]],
+    right[right_ptr[k]:right_ptr[k+1]])``: integer ids, each side
+    strictly increasing and non-negative, in any integer dtype (a run
+    and a shard's result keep the narrowest).  Filtering, sorting,
+    concatenation and encoding are array operations; :class:`Biclique`
+    objects are built only by :meth:`to_list`, iteration and indexing.
+    Equal to a list or tuple of the same bicliques in the same order;
+    pickles as narrow ids and per-record lengths.
+    """
+
+    __slots__ = ("left", "left_ptr", "right", "right_ptr")
+
+    def __init__(self, left, left_ptr, right, right_ptr) -> None:
+        self.left, self.left_ptr = left, left_ptr
+        self.right, self.right_ptr = right, right_ptr
+
+    @classmethod
+    def from_bicliques(cls, bicliques) -> "RaggedBicliques":
+        """``bicliques`` itself if ragged, else its ``(left, right)``
+        pairs of int sequences flattened, in order."""
+        if isinstance(bicliques, cls):
+            return bicliques
+        records = list(bicliques)
+        return cls(*_flatten([b[0] for b in records]),
+                   *_flatten([b[1] for b in records]))
+
+    def narrowed(self) -> "RaggedBicliques":
+        """The same records with ids in the narrowest unsigned dtype."""
+        return RaggedBicliques(_narrow(self.left), self.left_ptr,
+                               _narrow(self.right), self.right_ptr)
+
+    @classmethod
+    def concat(cls, parts) -> "RaggedBicliques":
+        """The records of ``parts``, one after another."""
+        parts = list(parts) or [cls.from_bicliques(())]
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            np.concatenate([p.left for p in parts]),
+            _offsets(np.concatenate([np.diff(p.left_ptr) for p in parts])),
+            np.concatenate([p.right for p in parts]),
+            _offsets(np.concatenate([np.diff(p.right_ptr) for p in parts])),
+        )
+
+    def __len__(self) -> int:
+        return len(self.left_ptr) - 1
+
+    def take(self, rows) -> "RaggedBicliques":
+        """Records ``rows`` (an index array), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        left, left_lens = ragged_gather(self.left_ptr, self.left, rows)
+        right, right_lens = ragged_gather(self.right_ptr, self.right, rows)
+        return RaggedBicliques(left, _offsets(left_lens),
+                               right, _offsets(right_lens))
+
+    def relabeled(self, prepared) -> "RaggedBicliques":
+        """Prepared-graph records in ``prepared``'s input labels: per
+        record :meth:`~repro.graph.preprocess.PreparedGraph.biclique_to_input_labels`
+        (sides swapped when ``prepared.swapped``), as one fancy-index and
+        one sort per side."""
+        left = _relabel_segments(self.left, self.left_ptr, prepared.u_original)
+        right = _relabel_segments(
+            self.right, self.right_ptr, prepared.v_original
+        )
+        if prepared.swapped:
+            return RaggedBicliques(right, self.right_ptr, left, self.left_ptr)
+        return RaggedBicliques(left, self.left_ptr, right, self.right_ptr)
+
+    def filtered(self, min_left: int = 0,
+                 min_right: int = 0) -> "RaggedBicliques":
+        """The records with at least this many vertices per side."""
+        keep = ((np.diff(self.left_ptr) >= min_left)
+                & (np.diff(self.right_ptr) >= min_right))
+        return self if keep.all() else self.take(np.flatnonzero(keep))
+
+    def sorted(self) -> "RaggedBicliques":
+        """The records in ``(left, right)`` tuple order (stable)."""
+        return self.take(np.argsort(self.sort_ranks(), kind="stable"))
+
+    def sort_ranks(self) -> np.ndarray:
+        """Each record's position in ``(left, right)`` tuple order; equal
+        records share the first position of their run.
+
+        A record's key is its left ids + 1, a 0, its right ids + 1, as
+        big-endian symbols of the narrowest width, zero-padded to 64-bit
+        words.  Key byte order is tuple order — the 0 puts a left side
+        before every longer left it prefixes, the padding does so for
+        right sides — and the keys are ranked most significant word
+        first, re-sorting only the groups still tied after each word.
+        """
+        lens = np.diff(self.left_ptr), np.diff(self.right_ptr)
+        top = max(int(self.left.max(initial=0)),
+                  int(self.right.max(initial=0))) + 1
+        sym = np.dtype(np.min_scalar_type(top)).newbyteorder(">")
+        per_word = 8 // sym.itemsize
+        n_words = (lens[0] + lens[1] + per_word) // per_word
+        word_ptr = _offsets(n_words)
+        keys = np.zeros(int(word_ptr[-1]) * per_word, dtype=sym)
+        start = word_ptr[:-1] * per_word  # record k's first symbol
+        for ids, ptr, n, at in ((self.left, self.left_ptr, lens[0], start),
+                                (self.right, self.right_ptr, lens[1],
+                                 start + lens[0] + 1)):
+            pos = np.arange(len(ids)) + np.repeat(at - ptr[:-1], n)
+            keys[pos] = ids
+            keys[pos] += 1  # in the key dtype: it holds the largest id + 1
+        words = keys.view(">u8").astype(np.uint64)
+
+        rank = np.zeros(len(self), dtype=np.int64)
+        tied = np.arange(len(self))  # records of tied groups, by group
+        w = 0
+        while len(tied) > 1:
+            word = np.zeros(len(tied), dtype=np.uint64)
+            more = n_words[tied] > w
+            word[more] = words[word_ptr[tied[more]] + w]
+            by = np.lexsort((word, rank[tied]))
+            tied, word, group = tied[by], word[by], rank[tied[by]]
+            at = np.arange(len(tied))
+            new_group = np.r_[True, group[1:] != group[:-1]]
+            new_sub = new_group | np.r_[True, word[1:] != word[:-1]]
+            rank[tied] = group + (
+                np.maximum.accumulate(np.where(new_sub, at, 0))
+                - np.maximum.accumulate(np.where(new_group, at, 0))
+            )
+            # a sub-group stays tied while it has two records and one of
+            # them has words left
+            starts = np.flatnonzero(new_sub)
+            sizes = np.diff(np.append(starts, len(tied)))
+            longer = np.maximum.reduceat(n_words[tied], starts) > w + 1
+            tied = tied[np.repeat((sizes > 1) & longer, sizes)]
+            w += 1
+        return rank
+
+    def to_list(self) -> list[Biclique]:
+        """Every record as a :class:`Biclique`: one ``tolist()`` per
+        side, then tuple slices (C-level loops only)."""
+        def sides(ids, ptr) -> list:
+            flat, at = tuple(ids.tolist()), ptr.tolist()
+            return list(map(flat.__getitem__, map(slice, at, at[1:])))
+
+        lefts = sides(self.left, self.left_ptr)  # one flat side at a time
+        return list(map(Biclique._make,
+                        zip(lefts, sides(self.right, self.right_ptr))))
+
+    def __iter__(self):
+        return iter(self.to_list())
+
+    def __getitem__(self, k: int) -> Biclique:
+        return self.take([range(len(self))[k]]).to_list()[0]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RaggedBicliques):
+            other = other.to_list()
+        if isinstance(other, (list, tuple)):
+            return self.to_list() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return _unpickle, tuple(map(_narrow, (
+            self.left, np.diff(self.left_ptr),
+            self.right, np.diff(self.right_ptr),
+        )))
+
+
 class BicliqueSink(Protocol):
     """Anything accepting ``sink(L, R)`` with strictly increasing numpy
-    integer arrays (:class:`BicliqueCollector` relies on this)."""
+    integer arrays, which the caller may reuse once the call returns."""
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> None: ...
 
@@ -84,23 +337,53 @@ class BicliqueCounter:
 
 
 class BicliqueCollector:
-    """Sink that materializes every maximal biclique (tests, small runs).
+    """Sink that keeps every maximal biclique, in arrival order.
 
-    Relies on the sink contract — strictly increasing arrays — and
-    skips :meth:`Biclique.make`'s dedupe and sort.
+    Per-emission calls (the CPU baselines, any caller-driven
+    enumerator) keep one :class:`Biclique` each, relying on the sink
+    contract — strictly increasing arrays — to skip
+    :meth:`Biclique.make`'s dedupe and sort.  The GMBE kernel instead
+    hands a whole run over in one :meth:`add`.  :meth:`result` returns
+    everything as one :class:`RaggedBicliques`; :attr:`bicliques` as a
+    list, built on first access.
     """
 
     def __init__(self) -> None:
-        self.bicliques: list[Biclique] = []
+        self._blocks: list[RaggedBicliques] = []
+        self._tail: list[Biclique] = []
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> None:
-        self.bicliques.append(
+        self._tail.append(
             Biclique(tuple(left.tolist()), tuple(right.tolist()))
         )
 
+    def _seal(self) -> None:
+        if self._tail:
+            self._blocks.append(RaggedBicliques.from_bicliques(self._tail))
+            self._tail = []
+
+    def add(self, block: RaggedBicliques) -> None:
+        """Append a ragged block of bicliques after those kept so far."""
+        self._seal()
+        self._blocks.append(block)
+
+    def result(self) -> RaggedBicliques:
+        """Everything collected, as one ragged block."""
+        self._seal()
+        if len(self._blocks) != 1:
+            self._blocks = [RaggedBicliques.concat(self._blocks)]
+        return self._blocks[0]
+
+    @property
+    def bicliques(self) -> list[Biclique]:
+        if self._blocks:
+            self._tail = self.result().to_list()
+            self._blocks = []
+        return self._tail
+
     @property
     def count(self) -> int:
-        return len(self.bicliques)
+        return sum(map(len, self._blocks)) + len(self._tail)
 
     def as_set(self) -> set[Biclique]:
         return set(self.bicliques)

@@ -81,4 +81,4 @@ def constrained_mbe(
         min_left=eff_left,
         min_right=eff_right,
     )
-    return run_baseline(graph, sink, options, order="degree")
+    return run_baseline(graph, sink, options)

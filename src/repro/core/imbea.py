@@ -27,4 +27,4 @@ def imbea(
     sink: BicliqueSink | None = None,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the iMBEA baseline."""
-    return run_baseline(graph, sink, _OPTIONS, order="degree")
+    return run_baseline(graph, sink, _OPTIONS)

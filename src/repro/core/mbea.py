@@ -42,4 +42,4 @@ def mbea(
         Optional ``sink(L, R)`` callable receiving each maximal biclique
         (sorted numpy arrays).  Counting always happens regardless.
     """
-    return run_baseline(graph, sink, _OPTIONS, order="degree")
+    return run_baseline(graph, sink, _OPTIONS)

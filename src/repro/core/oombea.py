@@ -28,4 +28,4 @@ def oombea(
     sink: BicliqueSink | None = None,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the ooMBEA baseline."""
-    return run_baseline(graph, sink, _OPTIONS, order="degree")
+    return run_baseline(graph, sink, _OPTIONS)

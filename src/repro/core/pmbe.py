@@ -29,4 +29,4 @@ def pmbe(
     sink: BicliqueSink | None = None,
 ) -> EnumerationResult:
     """Enumerate all maximal bicliques with the PMBE baseline."""
-    return run_baseline(graph, sink, _OPTIONS, order="degree")
+    return run_baseline(graph, sink, _OPTIONS)

@@ -32,13 +32,12 @@ def run_baseline(
     graph: BipartiteGraph,
     sink: BicliqueSink | None,
     options: EngineOptions,
-    *,
-    order: str = "degree",
 ) -> EnumerationResult:
-    """Prepare ``graph``, run the engine, and package the result."""
+    """Prepare ``graph`` (ascending-degree V order), run the engine, and
+    package the result."""
     from .bicliques import BicliqueCounter
 
-    prepared = prepare(graph, order=order)
+    prepared = prepare(graph)
     counting = BicliqueCounter()
     if sink is None:
         effective: BicliqueSink = counting

@@ -48,9 +48,12 @@ from ..core.batch import (
     run_batch,
 )
 from ..core.bicliques import (
+    BicliqueCollector,
     BicliqueSink,
     Counters,
     EnumerationResult,
+    RaggedBicliques,
+    _offsets,
 )
 from ..core.expand import expand_node, gamma_matches
 from ..core.localcount import LocalCounter
@@ -166,6 +169,65 @@ def _lane_dims(t: SubtreeTask) -> tuple[int, int, int, int]:
     return len(u.scope), u.n_words, max(n_c, 1), min(len(t.left), n_c) + 2
 
 
+class _RunFill:
+    """A :class:`~repro.core.BicliqueCollector`'s share of one run, in
+    prepared labels, handed over as one ragged block by :meth:`finish`.
+
+    Single emissions are kept as arrays: a task's own node biclique as
+    is, a sequential subtree emission copied (node buffers reuse their
+    views).  A batch member is kept as its id range in the batch's
+    shared :class:`BatchEmissions`.  :meth:`finish` gathers everything
+    in emission order and relabels the whole run once.
+    """
+
+    __slots__ = ("prepared", "collector", "lefts", "rights", "pieces")
+
+    def __init__(self, prepared, collector: BicliqueCollector) -> None:
+        self.prepared, self.collector = prepared, collector
+        self.lefts: list = []
+        self.rights: list = []
+        #: emission order: ``(None, n)`` for the single emissions up to
+        #: ``lefts[n]``, ``(emissions, member)`` for a batch member
+        self.pieces: list = []
+
+    def own(self, left, right) -> None:
+        self.lefts.append(left)
+        self.rights.append(right)
+
+    def copy(self, left, right) -> None:
+        self.lefts.append(left.copy())
+        self.rights.append(right.copy())
+
+    def batch(self, emissions: BatchEmissions, member: int) -> None:
+        self.pieces += [(None, len(self.lefts)), (emissions, member)]
+
+    def finish(self) -> None:
+        n = len(self.lefts)
+        parts = [RaggedBicliques(*_stack(self.lefts), *_stack(self.rights))]
+        base, order, done = {}, [], 0  # base: id(emissions) -> 1st record
+        for emissions, at in [*self.pieces, (None, n)]:
+            if emissions is None:
+                order.append(np.arange(done, at))
+                done = at
+                continue
+            if id(emissions) not in base:
+                base[id(emissions)] = sum(map(len, parts))
+                parts.append(emissions)
+            ptr = emissions.member_ptr
+            order.append(emissions.order[ptr[at]:ptr[at + 1]]
+                         + base[id(emissions)])
+        run = RaggedBicliques.concat(parts)
+        if base:
+            run = run.take(np.concatenate(order))
+        self.collector.add(run.relabeled(self.prepared).narrowed())
+
+
+def _stack(arrays: list) -> tuple[np.ndarray, np.ndarray]:
+    """``arrays`` concatenated, and their offsets."""
+    return (np.concatenate([np.zeros(0, np.int32), *arrays]),
+            _offsets(list(map(len, arrays))))
+
+
 class _EmissionLedger:
     """The kernel's only emission gate: counts every maximal biclique,
     delivers it to the user sink, and makes delivery exactly-once at
@@ -183,25 +245,42 @@ class _EmissionLedger:
     set is checkpointed explicitly: it cannot be derived from the
     records because a root's seq-0 emission happens at pull time, before
     its task ever executes.  The retained records double as the
-    checkpoint's result replay.  Without records an emission costs the
-    count and the sink call, and a lockstep batch goes to the sink as
-    whole pairs plus one count bump per member.
+    checkpoint's result replay.
+
+    Without records an emission costs the count and the delivery.  A
+    :class:`~repro.core.BicliqueCollector` sink is filled in bulk (a
+    :class:`_RunFill`, handed over by :meth:`finish`); any other sink is
+    called per emission in input labels, a lockstep batch relabelled
+    once per batch and delivered as whole pairs plus one count bump per
+    member.
     """
 
-    __slots__ = ("count", "sink", "batch_sink", "batch_labels",
+    __slots__ = ("count", "sink", "batch_sink", "batch_labels", "fill",
                  "executed", "records")
 
     def __init__(self, prepared, sink, *, robust: bool,
                  keep_records: bool) -> None:
         self.count = 0
-        #: per-emission delivery, relabelled to input labels on the way
-        self.sink = None if sink is None else relabeling_sink(prepared, sink)
-        #: batch pairs bypass ``self.sink``: when retained records do
-        #: not pin prepared labels, a batch is relabelled once, for the
-        #: whole batch, to ``batch_labels`` (see ``_compute_batch``)
-        self.batch_sink = sink
+        #: a collector is filled in bulk unless checkpoint records pin
+        #: the per-emission path
+        self.fill = (
+            _RunFill(prepared, sink)
+            if isinstance(sink, BicliqueCollector) and not keep_records
+            else None
+        )
+        #: per-emission delivery: copied into the fill, or relabelled to
+        #: input labels on the way to the sink
+        self.sink = (
+            self.fill.copy if self.fill is not None
+            else None if sink is None else relabeling_sink(prepared, sink)
+        )
+        #: batch pairs bypass ``self.sink``: unless retained records pin
+        #: prepared labels, a batch is relabelled once, for the whole
+        #: batch, to ``batch_labels`` (see ``_compute_batch``)
+        self.batch_sink = None if self.fill is not None else sink
         self.batch_labels = (
-            prepared if sink is not None and not keep_records else None
+            prepared if self.batch_sink is not None and not keep_records
+            else None
         )
         #: lineages whose execute() has already delivered emissions
         #: (None when not robust: nothing is ever re-executed)
@@ -239,7 +318,11 @@ class _EmissionLedger:
 
     def emit_own(self, task: SubtreeTask) -> None:
         """A task's own node biclique, ledger seq 0."""
-        self.emit(task.lineage, 0, task.left, task.right)
+        if self.fill is not None:  # task arrays are never reused
+            self.count += 1
+            self.fill.own(task.left, task.right)
+        else:
+            self.emit(task.lineage, 0, task.left, task.right)
 
     def subtree_sink(self, lineage: tuple, first_run: bool):
         """Sink for the task's sequential subtree walk."""
@@ -258,12 +341,22 @@ class _EmissionLedger:
             for left, right in emissions.pairs(member):
                 sink(left, right)
             return
-        sink = self.batch_sink
-        if sink is not None:
+        if self.fill is not None:
+            self.fill.batch(emissions, member)
+        elif self.batch_sink is not None:
+            sink = self.batch_sink
             for left, right in emissions.pairs(member):
                 sink(left, right)
         ptr = emissions.member_ptr
         self.count += int(ptr[member + 1] - ptr[member])
+
+    def finish(self) -> None:
+        """Hand a filled collector the run (after the last emission),
+        releasing the fill: the kernel's reference cycles would keep it
+        alive until the next garbage collection."""
+        if self.fill is not None:
+            fill, self.fill, self.sink = self.fill, None, None
+            fill.finish()
 
     def preload(self, records, executed) -> None:
         """Seed from checkpoint state, replaying each record into the
@@ -940,6 +1033,7 @@ def gmbe_gpu(
     ) as kernel_span:
         scheduler.trace_span_id = kernel_span.span_id
         report = scheduler.run()
+        ledger.finish()
         if telemetry is not None:
             kernel_span.set_attr("tasks_executed", report.tasks_executed)
             kernel_span.set_attr("makespan_cycles", report.makespan_cycles)

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..api import as_bipartite_graph, enumerate_maximal_bicliques
+from ..core.bicliques import RaggedBicliques
 from ..gmbe import GMBEConfig
 from ..graph import BipartiteGraph
 from ..sharding import DegradedShardRun
@@ -117,7 +118,8 @@ def default_runner(
     shards: int = 1,
     shard_pool: str = "thread",
 ):
-    """Execute one job exactly like the one-shot API would.
+    """Execute one job exactly like the one-shot API would, returning
+    its result as a :class:`~repro.store.StoredResultSet`.
 
     When the broker assigns a ``checkpoint_path`` (its ``checkpoint_dir``
     is set and the job runs GMBE), the enumeration snapshots its
@@ -147,6 +149,7 @@ def default_runner(
         min_left=job.min_left,
         min_right=job.min_right,
         config=config,
+        as_store=True,
         **kwargs,
     )
 
@@ -783,7 +786,11 @@ class EnumerationBroker:
         if outcome.status == "completed":
             # The store is both the result and the cache entry: the byte
             # budget charges encoded size, and hits hand it out undecoded.
-            store = StoredResultSet.from_bicliques(outcome.value)
+            # The default runner returns one; a custom runner's list is
+            # encoded here.
+            store = outcome.value
+            if not isinstance(store, StoredResultSet):
+                store = StoredResultSet.from_bicliques(store)
             self.cache.put(entry.key, store, tag=entry.tag)
             self.registry.counter("service.jobs.completed").add(1)
             result = self._result(entry, JobStatus.COMPLETED, store=store,
@@ -815,9 +822,9 @@ class EnumerationBroker:
             result = self._result(
                 entry, JobStatus.DEGRADED,
                 store=StoredResultSet.from_bicliques(
-                    b for b in partial.bicliques
-                    if len(b.left) >= job.min_left
-                    and len(b.right) >= job.min_right
+                    RaggedBicliques.from_bicliques(partial.bicliques).filtered(
+                        job.min_left, job.min_right
+                    )
                 ),
                 error=str(outcome.exception),
                 attempts=outcome.attempts,

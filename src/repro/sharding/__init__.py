@@ -4,8 +4,8 @@ The subsystem splits one enumeration into N independent *shard-jobs* by
 partitioning root-task ownership (:class:`ShardPlan`), runs each shard
 as an ordinary kernel run restricted to its owned roots
 (:func:`run_shard_task`) in-process or on a warm worker-process pool,
-placed on dedicated or clustered simulated GPUs, and stream-merges the
-per-shard results into one duplicate-free ordered set
+placed on dedicated or clustered simulated GPUs, and merges the sorted
+per-shard ragged results into one duplicate-free ordered set
 (:class:`ShardCoordinator`), reported as one :class:`ShardReport` —
 partial, with resume handles, when shards were quarantined.  DESIGN.md
 §11 has the architecture and the ownership/disjointness proof sketch.

@@ -3,9 +3,10 @@
 :class:`ShardCoordinator` is the orchestration layer of the sharding
 subsystem: build (or accept) a :class:`~repro.sharding.ShardPlan`, run
 :func:`~repro.sharding.run_shard_task` once per shard — in-process one
-after another, or on supervised worker processes — and stream-merge
-the per-shard sorted result lists into one duplicate-free ordered set,
-reported as one :class:`ShardReport` whether or not shards were lost.
+after another, or on supervised worker processes — and merge the
+per-shard sorted ragged results with array operations into one
+duplicate-free ordered set, reported as one :class:`ShardReport` whether
+or not shards were lost.
 
 Placement is simulated two ways:
 
@@ -32,8 +33,6 @@ kernel's emission ledger replays emitted bicliques from the snapshot).
 from __future__ import annotations
 
 import atexit
-import heapq
-import itertools
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, CancelledError
@@ -42,7 +41,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.bicliques import Biclique, Counters
+import numpy as np
+
+from ..core.bicliques import Counters, RaggedBicliques
 from ..gmbe.cluster import ClusterSpec
 from ..gmbe.config import GMBEConfig
 from ..gpusim.device import A100, DeviceSpec
@@ -226,31 +227,34 @@ class ShardMergeError(RuntimeError):
     """
 
 
-def merge_shard_results(results: list[ShardResult]) -> list[Biclique]:
-    """K-way merge per-shard sorted lists into one ordered list.
+def merge_shard_results(results: list[ShardResult]) -> RaggedBicliques:
+    """Merge per-shard sorted runs into one sorted ragged result.
 
-    Raises :class:`ShardMergeError` on any duplicate — disjoint
-    ownership means equal bicliques from two shards indicate a plan
-    mismatch, not a benign overlap.
+    The runs are concatenated in shard order and ranked with array
+    operations (:meth:`~repro.core.RaggedBicliques.sort_ranks`), so
+    equal records stay in shard order.  Raises :class:`ShardMergeError`
+    on any duplicate — disjoint ownership means equal bicliques from two
+    shards indicate a plan mismatch, not a benign overlap.
     """
-    # (biclique, shard_id) pairs compare as tuples, in C; streams are in
-    # shard order, so ties break exactly as a stable merge would
-    streams = [
-        zip(r.bicliques, itertools.repeat(r.shard_id))
-        for r in sorted(results, key=lambda r: r.shard_id)
-    ]
-    merged: list[Biclique] = []
-    prev_shard = -1
-    for item, shard_id in heapq.merge(*streams):
-        if merged and item == merged[-1]:
-            raise ShardMergeError(
-                f"duplicate biclique L={item.left} R={item.right} emitted "
-                f"by shards {prev_shard} and {shard_id} — the shards did "
-                f"not run under one plan (ownership sets must be disjoint)"
-            )
-        merged.append(item)
-        prev_shard = shard_id
-    return merged
+    results = sorted(results, key=lambda r: r.shard_id)
+    pool = RaggedBicliques.concat([r.bicliques for r in results])
+    ranks = pool.sort_ranks()
+    order = np.argsort(ranks, kind="stable")
+    repeats = np.flatnonzero(ranks[order[1:]] == ranks[order[:-1]])
+    if len(repeats):
+        k = int(repeats[0])
+        ends = np.cumsum([len(r.bicliques) for r in results])
+        first, second = (
+            results[int(np.searchsorted(ends, order[i], "right"))].shard_id
+            for i in (k, k + 1)
+        )
+        item = pool[int(order[k])]
+        raise ShardMergeError(
+            f"duplicate biclique L={item.left} R={item.right} emitted "
+            f"by shards {first} and {second} — the shards did not run "
+            f"under one plan (ownership sets must be disjoint)"
+        )
+    return pool.take(order)
 
 
 @dataclass
@@ -265,7 +269,9 @@ class ShardReport:
     plan: ShardPlan
     #: the shards that finished, in shard order
     shards: list[ShardResult]
-    bicliques: list[Biclique]
+    #: the merged, sorted result (a given sequence of bicliques is
+    #: flattened); iterating or indexing builds the objects
+    bicliques: RaggedBicliques
     counters: Counters
     #: Fleet makespan under the chosen placement (seconds, simulated).
     sim_time: float
@@ -278,6 +284,9 @@ class ShardReport:
     #: shard ids abandoned after exhausting their attempt budget
     quarantined: list[int] = field(default_factory=list)
     resume: list[ResumeHandle] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.bicliques = RaggedBicliques.from_bicliques(self.bicliques)
 
     @property
     def n_maximal(self) -> int:

@@ -25,7 +25,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 
-from ..core.bicliques import Biclique, BicliqueCollector, Counters
+from ..core.bicliques import BicliqueCollector, Counters, RaggedBicliques
 from ..gmbe.config import GMBEConfig
 from ..gmbe.kernel import gmbe_gpu
 from ..gpusim.device import A100, DeviceSpec
@@ -57,21 +57,26 @@ def shard_checkpoint_path(
 class ShardResult:
     """Everything one shard produced.
 
-    ``bicliques`` is sorted (input labels), ready for the coordinator's
-    k-way stream merge.  ``sim_time`` is this shard's modeled seconds on
-    its own device — the coordinator folds per-device placement into a
-    fleet makespan.
+    ``bicliques`` is a sorted :class:`~repro.core.RaggedBicliques` in
+    input labels (any sequence of bicliques given is flattened), ready
+    for the coordinator's array merge; it pickles with its narrowest
+    dtypes.  ``sim_time`` is this shard's modeled seconds on its own
+    device — the coordinator folds per-device placement into a fleet
+    makespan.
     """
 
     shard_id: int
     n_shards: int
-    bicliques: list[Biclique]
+    bicliques: RaggedBicliques
     counters: Counters
     sim_time: float
     owned_roots: int
     resumed: bool = False
     halted: bool = False
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.bicliques = RaggedBicliques.from_bicliques(self.bicliques)
 
     @property
     def n_maximal(self) -> int:
@@ -253,7 +258,7 @@ def run_shard_task(
     return ShardResult(
         shard_id=shard_id,
         n_shards=plan.n_shards,
-        bicliques=sorted(collector.bicliques),
+        bicliques=collector.result().sorted(),
         counters=result.counters,
         sim_time=result.sim_time,
         owned_roots=owned,

@@ -28,7 +28,8 @@ no record in the block can pass).
 
 Nothing in the format depends on more than the previous record, so
 :func:`encode_blocks` computes every record's LCPs and deltas at once
-with array operations over the flattened sides.  Prefix sharing
+with array operations over the flat sides of a
+:class:`~repro.core.RaggedBicliques`.  Prefix sharing
 between consecutive bicliques of an enumeration order is what the
 format compresses (Mukherjee & Tirthapura, arXiv:1404.4910).
 """
@@ -36,9 +37,11 @@ format compresses (Mukherjee & Tirthapura, arXiv:1404.4910).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
+
+from ..core.bicliques import RaggedBicliques
 
 __all__ = [
     "Block",
@@ -72,15 +75,16 @@ class Block:
         return int(self.data.nbytes)
 
 
-def encode_blocks(lefts, rights,
+def encode_blocks(records,
                   block_records: int = DEFAULT_BLOCK_RECORDS) -> list[Block]:
-    """Encode records ``(lefts[k], rights[k])`` into blocks in one pass.
+    """Encode ``records`` into blocks in one pass.
 
-    ``lefts`` and ``rights`` are equal-length sequences of sides, each a
-    sequence of ints; record ``k`` gets stream ordinal ``k``.  Every
-    step is an array operation over the ragged flat sides: per-side
-    LCPs by one gathered compare, gaps by a shifted difference, words
-    scattered to ``cumsum`` offsets and block maxima by
+    ``records`` is a :class:`~repro.core.RaggedBicliques`, encoded
+    straight from its flat arrays, or anything its ``from_bicliques``
+    flattens (``(left, right)`` pairs of int sequences).  Record ``k``
+    gets stream ordinal ``k``.  Every step is an array operation over the
+    flat sides: per-side LCPs by one gathered compare, gaps by a shifted
+    difference, words scattered to ``cumsum`` offsets and block maxima by
     ``np.maximum.reduceat``.
 
     Raises :class:`ValueError` (and encodes nothing) naming the first
@@ -91,22 +95,22 @@ def encode_blocks(lefts, rights,
         raise ValueError(
             f"block_records must be positive, got {block_records}"
         )
-    n = len(lefts)
-    if len(rights) != n:
-        raise ValueError(f"{n} left sides but {len(rights)} right sides")
+    records = RaggedBicliques.from_bicliques(records)
+    n = len(records)
     if n == 0:
         return []
     fresh = np.arange(n) % block_records == 0  # lcp forced to 0
-    left, right = _Side(lefts, n, fresh), _Side(rights, n, fresh)
+    left = _Side(records.left, records.left_ptr, fresh)
+    right = _Side(records.right, records.right_ptr, fresh)
     bad = min(left.first_bad, right.first_bad)
     if bad < n:
-        name, raw = (
-            ("left", lefts) if left.first_bad == bad else ("right", rights)
-        )
+        name, side = ("left", left) if left.first_bad == bad else (
+            "right", right)
         raise ValueError(
             f"record {bad}: {name} side "
-            f"{tuple(int(x) for x in raw[bad])!r} is not strictly "
-            f"increasing non-negative vertex ids with deltas below 2**32"
+            f"{tuple(side.flat[side.offs[bad]:side.offs[bad + 1]].tolist())!r}"
+            f" is not strictly increasing non-negative vertex ids with "
+            f"deltas below 2**32"
         )
 
     new_l = left.lens - left.lcp
@@ -139,23 +143,11 @@ class _Side:
     ``lcp[k]`` is record ``k``'s shared prefix with record ``k - 1``.
     """
 
-    def __init__(self, sides, n: int, fresh: np.ndarray) -> None:
-        lens = np.fromiter(map(len, sides), dtype=np.int64, count=n)
-        total = int(lens.sum())
-        try:
-            flat = np.fromiter(
-                chain.from_iterable(sides), dtype=np.int64, count=total
-            )
-        except OverflowError:
-            # an id beyond int64 is invalid anyway; -1 makes the check
-            # below name its record
-            flat = np.fromiter(
-                (x if 0 <= x < 2**63 else -1
-                 for x in chain.from_iterable(sides)),
-                dtype=np.int64, count=total,
-            )
-        offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
+    def __init__(self, flat: np.ndarray, offs: np.ndarray,
+                 fresh: np.ndarray) -> None:
+        flat = flat.astype(np.int64, copy=False)
+        n = len(offs) - 1
+        lens = np.diff(offs)
         gaps = np.empty_like(flat)
         gaps[1:] = flat[1:] - flat[:-1]
         heads = offs[:-1][lens > 0]
@@ -180,7 +172,8 @@ class _Side:
             miss = np.flatnonzero(flat[here] != flat[here - lens[rec - 1]])
             hit, first = np.unique(rec[miss], return_index=True)
             lcp[hit] = within[miss[first]]
-        self.lens, self.offs, self.gaps, self.lcp = lens, offs, gaps, lcp
+        self.flat, self.lens, self.offs = flat, lens, offs
+        self.gaps, self.lcp = gaps, lcp
 
     def scatter(self, words: np.ndarray, dest: np.ndarray) -> None:
         """Write each record's unshared gaps to ``words[dest[k]:]``."""

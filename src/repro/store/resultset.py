@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numbers
 
-from ..core.bicliques import Biclique
+from ..core.bicliques import Biclique, validate_size_filters
 from .encode import (
     DEFAULT_BLOCK_RECORDS,
     count_records,
@@ -87,9 +87,11 @@ class StoredResultSet:
     def from_bicliques(
         cls, bicliques, *, block_records: int = DEFAULT_BLOCK_RECORDS
     ) -> "StoredResultSet":
-        records = list(bicliques)
-        lefts, rights = [b.left for b in records], [b.right for b in records]
-        store = cls(encode_blocks(lefts, rights, block_records), len(records))
+        """Encode ``bicliques`` — a :class:`~repro.core.RaggedBicliques`,
+        straight from its arrays, or any iterable of bicliques, which is
+        flattened first — in their given order."""
+        blocks = encode_blocks(bicliques, block_records)
+        store = cls(blocks, sum(b.n_records for b in blocks))
         _note_store(store)
         return store
 
@@ -139,12 +141,17 @@ class StoredResultSet:
         return tuple(self)
 
     def filtered(self, min_left: int = 0, min_right: int = 0) -> "StoredResultSet":
-        """A view with a (composed) size filter; shares the blocks."""
+        """A view with a (composed) size filter; shares the blocks.
+
+        The filters follow :func:`~repro.api.validate_size_filters`:
+        anything but a non-negative integer raises :class:`ValueError`.
+        """
+        min_left, min_right = validate_size_filters(min_left, min_right)
         return StoredResultSet(
             self._blocks,
             self._n_records,
-            min_left=max(self.min_left, int(min_left)),
-            min_right=max(self.min_right, int(min_right)),
+            min_left=max(self.min_left, min_left),
+            min_right=max(self.min_right, min_right),
         )
 
     def page(self, cursor: str | None = None, limit: int = 100):

@@ -12,7 +12,7 @@ import pytest
 
 import repro.gmbe.kernel as kernel_mod
 from repro.checkpoint import load_checkpoint
-from repro.core import BicliqueCollector
+from repro.core import BicliqueCollector, BicliqueCounter
 from repro.gmbe import GMBEConfig, SubtreeTask, gmbe_gpu, gmbe_host
 from repro.gmbe.kernel import _should_split
 from repro.gpusim.faults import FaultPlan
@@ -211,10 +211,23 @@ class TestPerfbenchProbes:
         from repro.datasets.registry import load
 
         before = dict(vars(kernel_mod))
-        tracer = spans.Tracer()
-        with spans.Probes(spans.Audit(), tracer):
-            enumerate_maximal_bicliques(load("GH", scale=0.1))
-        names = {name for _op, name in tracer.layer_times()}
+        graph = load("GH", scale=0.1)
+
+        def layers(run) -> set:
+            tracer = spans.Tracer()
+            with spans.Probes(spans.Audit(), tracer):
+                run()
+            return {name for _op, name in tracer.layer_times()}
+
+        # The API's collector is filled in bulk, so ``core.emit`` times
+        # only a per-emission user sink.
+        api = layers(lambda: enumerate_maximal_bicliques(graph))
+        assert {
+            "core.batch", "gmbe.execute", "gmbe.seq_task", "gpusim.sched",
+            "graph.prepare",
+        } <= api
+        assert "core.emit" not in api
+        names = layers(lambda: kernel_mod.gmbe_gpu(graph, BicliqueCounter()))
         assert {
             "core.batch", "core.emit", "gmbe.execute", "gmbe.seq_task",
             "gpusim.sched", "graph.prepare",

@@ -42,8 +42,7 @@ def _random_records(rng, n, n_u=40, n_v=50):
 
 
 def _encode(recs, block_records=16) -> list:
-    return encode_blocks([l for l, _ in recs], [r for _, r in recs],
-                         block_records)
+    return encode_blocks(recs, block_records)
 
 
 def _store_from(recs, block_records=16) -> StoredResultSet:
@@ -177,10 +176,10 @@ class TestEncoding:
             StoredResultSet.from_bicliques([Biclique((1,), (2,))],
                                            block_records=0)
         with pytest.raises(ValueError, match="block_records"):
-            encode_blocks([(1,)], [(2,)], 0)
+            encode_blocks([((1,), (2,))], 0)
 
     def test_empty_stream(self):
-        assert encode_blocks([], []) == []
+        assert encode_blocks([]) == []
         assert StoredResultSet.from_bicliques([]).n_blocks == 0
         store = StoredResultSet([], 0)
         assert len(store) == 0 and list(store) == []
@@ -215,6 +214,22 @@ class TestStoredResultSet:
         # filters compose by max
         v = store.filtered(min_left=2).filtered(min_left=4, min_right=3)
         assert v.min_left == 4 and v.min_right == 3
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2", -3, None])
+    @pytest.mark.parametrize("side", ["min_left", "min_right"])
+    def test_filtered_rejects_what_the_api_rejects(self, recs, side, bad):
+        store = _store_from(recs)
+        with pytest.raises(ValueError, match=side):
+            store.filtered(**{side: bad})
+
+    def test_filtered_accepts_numpy_integers_and_zero(self, recs):
+        store = _store_from(recs)
+        view = store.filtered(min_left=np.int64(3), min_right=0)
+        assert (view.min_left, view.min_right) == (3, 0)
+        assert type(view.min_left) is int
+        assert list(view) == [
+            Biclique(l, r) for l, r in recs if len(l) >= 3
+        ]
 
     def test_block_skip_serves_filters_without_decoding(self, recs):
         store = _store_from(recs, block_records=8)
