@@ -1,11 +1,20 @@
-"""Pinned simulation fingerprints of the 12 registry graphs.
+"""Pinned simulation fingerprints.
 
 Each fingerprint holds what a kernel change must keep identical: the
 hash of the emission sequence a per-emission user sink sees, the
 maximal-biclique count, the :class:`~repro.core.Counters`, the
 simulated time, the makespan in cycles and the executed task count.
-They cover every registry graph at scales 0.1 and 0.5 under ``task``
-scheduling.
+The cases are:
+
+- every registry graph at scales 0.1 and 0.5 under ``task`` scheduling;
+- the six perfbench inputs under ``task`` scheduling;
+- WA@1.0 and Mti@1.0 with ``set_backend="bitset"``, with
+  ``batch_tasks="off"`` and on two GPUs;
+- WA@1.0 and Mti@1.0 under a seeded fault plan (SM crashes and queue
+  drops, with split bounds small enough that Mti splits), which also
+  pins the requeue count and the fault-log length;
+- every registry graph at 0.1 under ``warp`` and ``block`` scheduling
+  (``slow``).
 
 Regenerate ``sim_fingerprints.json`` (only after a change that is
 *meant* to move the simulation; record each use in CHANGES.md) with::
@@ -25,12 +34,33 @@ import pytest
 
 from repro.datasets.registry import DATASET_ORDER, load
 from repro.gmbe import GMBEConfig, gmbe_gpu
+from repro.gpusim.faults import FaultPlan
 
 PINNED = Path(__file__).with_name("sim_fingerprints.json")
 SCALES = (0.1, 0.5)
+PERFBENCH_INPUTS = (("GH", 0.3), ("EE", 0.35), ("GH", 0.2),
+                    ("TM", 0.75), ("WA", 1.0), ("Mti", 1.0))
+SPARSE = (("WA", 1.0), ("Mti", 1.0))
+
+#: variant name -> (``GMBEConfig`` fields, extra ``gmbe_gpu`` arguments)
+VARIANTS = {
+    "task": ({"scheduling": "task"}, {}),
+    "warp": ({"scheduling": "warp"}, {}),
+    "block": ({"scheduling": "block"}, {}),
+    "bitset": ({"set_backend": "bitset"}, {}),
+    "unbatched": ({"batch_tasks": "off"}, {}),
+    "2gpu": ({}, {"n_gpus": 2}),
+    # small bounds so Mti splits and its queue drops fire
+    "faults": ({"bound_height": 2, "bound_size": 4}, {}),
+}
 
 
-def fingerprint(code: str, scale: float) -> dict:
+def _fault_plan() -> FaultPlan:
+    return FaultPlan(seed=7, p_sm_crash=0.01, p_queue_drop=0.05,
+                     max_faults=24)
+
+
+def fingerprint(code: str, scale: float, variant: str = "task") -> dict:
     h = hashlib.blake2b(digest_size=16)
 
     def sink(left, right) -> None:
@@ -39,10 +69,13 @@ def fingerprint(code: str, scale: float) -> dict:
         h.update(np.asarray(right, dtype=np.int64).tobytes())
         h.update(b";")
 
+    fields, kwargs = VARIANTS[variant]
+    if variant == "faults":
+        kwargs = {"fault_plan": _fault_plan()}
     res = gmbe_gpu(load(code, scale=scale), sink,
-                   config=GMBEConfig(scheduling="task"))
+                   config=GMBEConfig(**fields), **kwargs)
     report = res.extras["report"]
-    return {
+    out = {
         "emissions": h.hexdigest(),
         "n_maximal": res.n_maximal,
         "counters": vars(res.counters),
@@ -50,25 +83,42 @@ def fingerprint(code: str, scale: float) -> dict:
         "makespan_cycles": report.makespan_cycles,
         "tasks_executed": report.tasks_executed,
     }
+    if variant == "faults":
+        out["tasks_requeued"] = report.tasks_requeued
+        out["fault_events"] = len(report.fault_log.events)
+    return out
 
 
-def _key(code: str, scale: float) -> str:
-    return f"{code}@{scale}"
+def _key(code: str, scale: float, variant: str = "task") -> str:
+    name = f"{code}@{scale}"
+    return name if variant == "task" else f"{name}/{variant}"
 
 
-_CASES = [(code, scale) for scale in SCALES for code in DATASET_ORDER]
+_CASES = (
+    [(code, scale, "task") for scale in SCALES for code in DATASET_ORDER]
+    + [(code, scale, "task") for code, scale in PERFBENCH_INPUTS]
+    + [(code, scale, v) for v in ("bitset", "unbatched", "2gpu", "faults")
+       for code, scale in SPARSE]
+)
+_SLOW_CASES = [(code, 0.1, v) for v in ("warp", "block")
+               for code in DATASET_ORDER]
+_ALL = _CASES + _SLOW_CASES
 
 
-@pytest.mark.parametrize("code,scale", _CASES,
-                         ids=[_key(c, s) for c, s in _CASES])
-def test_simulation_matches_pinned_fingerprint(code, scale):
-    pinned = json.loads(PINNED.read_text())[_key(code, scale)]
-    assert fingerprint(code, scale) == pinned
+@pytest.mark.parametrize(
+    "code,scale,variant",
+    [pytest.param(*case, id=_key(*case)) for case in _CASES]
+    + [pytest.param(*case, id=_key(*case), marks=pytest.mark.slow)
+       for case in _SLOW_CASES],
+)
+def test_simulation_matches_pinned_fingerprint(code, scale, variant):
+    pinned = json.loads(PINNED.read_text())[_key(code, scale, variant)]
+    assert fingerprint(code, scale, variant) == pinned
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {sys.argv[0]} --regenerate")
-    table = {_key(c, s): fingerprint(c, s) for c, s in _CASES}
+    table = {_key(*case): fingerprint(*case) for case in _ALL}
     PINNED.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} fingerprints to {PINNED}")
