@@ -296,19 +296,19 @@ def check_gate(gate: Gate, update: bool) -> bool:
         base = bases[metric]
         fresh = result[metric]
         floor = base * (1.0 - tolerance)
-        print(f"fresh {metric}:    {fresh:.2f}x")
-        print(f"snapshot {metric}: {base:.2f}x")
-        print(f"regression floor (-{tolerance:.0%}): {floor:.2f}x")
+        print(f"fresh {metric}:    {fresh:.3f}x")
+        print(f"snapshot {metric}: {base:.3f}x")
+        print(f"regression floor (-{tolerance:.0%}): {floor:.3f}x")
         if fresh < floor:
             print(
                 f"FAIL: {gate.name}/{metric} regressed >{tolerance:.0%} "
-                f"({fresh:.2f}x < {floor:.2f}x)"
+                f"({fresh:.3f}x < {floor:.3f}x)"
             )
             ok = False
         if fresh < abs_floor:
             print(
-                f"FAIL: {gate.name}/{metric} below the {abs_floor:.2f}x "
-                f"acceptance floor ({fresh:.2f}x)"
+                f"FAIL: {gate.name}/{metric} below the {abs_floor:.3f}x "
+                f"acceptance floor ({fresh:.3f}x)"
             )
             ok = False
     if ok:

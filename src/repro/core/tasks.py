@@ -26,12 +26,14 @@ import numpy as np
 
 from ..graph.bipartite import BipartiteGraph
 from .bicliques import Counters
-from .bitset import BitsetUniverse, n_words, resolve_backend
+from .bitset import WORD_BITS, BitsetUniverse, resolve_backend
 from .localcount import ragged_gather
 
 __all__ = [
     "ROOT_CHUNK_BYTES",
+    "RootChunk",
     "RootTask",
+    "SubtreeTask",
     "build_root_task",
     "build_root_tasks",
     "root_chunks",
@@ -53,25 +55,23 @@ _ROOT_BYTES = 512
 
 
 @dataclass
-class RootTask:
-    """Root node of one per-vertex subtree.
+class SubtreeTask:
+    """A queued enumeration-tree task: the root node ``(left, right)``
+    of one subtree and its candidates with their local neighborhood
+    sizes."""
 
-    ``(left, right)`` is itself a maximal biclique (the closure of
-    ``{v_s}``), reported by the executor exactly when the task survives
-    deduplication.  ``work`` is the scalar cost of building the task.
-    ``universe`` is the packed-bitset view of the induced subgraph when
-    the backend heuristic chose bitset mode for this task (``backend``
-    records the resolved choice).
-    """
-
-    v_s: int
     left: np.ndarray
     right: np.ndarray
     cands: np.ndarray
     counts: np.ndarray
-    work: int
-    backend: str = "sorted"
+    #: split children must re-verify ``R == Γ(L)`` at dequeue time
+    needs_check: bool = False
+    #: packed-bitset universe of the owning root task (split children
+    #: share their root's universe; ``left``/``cands`` stay subsets)
     universe: BitsetUniverse | None = None
+    #: stable identity across retries/requeues: ``(root_v,)`` for a
+    #: root task, ``parent_lineage + (child_index,)`` for a split child
+    lineage: tuple = ()
 
     def estimated_height(self) -> int:
         """Tree-height estimate ``min(|L|, |C|)`` from §4.3."""
@@ -80,6 +80,40 @@ class RootTask:
     def estimated_size(self) -> int:
         """Tree-size estimate ``min(|L|, |C|) · |C|`` from §4.3."""
         return self.estimated_height() * len(self.cands)
+
+
+@dataclass
+class RootTask(SubtreeTask):
+    """Root node of the per-vertex subtree of ``v_s`` (lineage ``(v_s,)``).
+
+    ``(left, right)`` is itself a maximal biclique (the closure of
+    ``{v_s}``), reported by the executor exactly when the task survives
+    deduplication.  ``universe`` is the packed-bitset view of the
+    induced subgraph when the backend heuristic chose bitset mode for
+    this task (``backend`` records the resolved choice).
+    """
+
+    backend: str = "sorted"
+
+
+@dataclass
+class RootChunk:
+    """One bulk build: per-root charges as arrays, a task per survivor."""
+
+    roots: np.ndarray
+    #: modeled build charges of each root: zero for a root with no
+    #: neighbor; a deduplicated root still pays for the passes that
+    #: found it redundant
+    set_op_work: np.ndarray
+    simt_cycles: np.ndarray
+    #: one entry per root: its task, or ``None`` when the root has no
+    #: neighbor or is deduplicated
+    tasks: list
+
+    def charges(self, i=slice(None)) -> Counters:
+        """Build charges of root ``i`` (by default the whole chunk's)."""
+        return Counters(set_op_work=int(self.set_op_work[i].sum()),
+                        simt_cycles=int(self.simt_cycles[i].sum()))
 
 
 def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -127,14 +161,11 @@ def root_chunks(
 
 def build_root_tasks(
     graph: BipartiteGraph, roots, *, backend: str = "sorted"
-) -> list[tuple[RootTask | None, Counters]]:
+) -> RootChunk:
     """Build the root tasks of ``roots`` from one sorted 2-hop pass.
 
-    Returns one ``(task, counters)`` pair per root, in order: ``task``
-    is ``None`` when the root has no neighbor or is deduplicated, and
-    ``counters`` holds that root's modeled build charges (zero for a
-    root with no neighbor; a deduplicated root still pays for the
-    passes that found it redundant).
+    Every root's build charges come out as arrays; a task object is
+    made only for the roots that survive (see :class:`RootChunk`).
 
     A surviving task's ``right`` is the closure ``Γ(N(v_s))`` restricted
     per Alg. 3: every 2-hop neighbor fully connected to ``L_s`` joins
@@ -180,15 +211,18 @@ def build_root_tasks(
 
     # Modeled charges, the same totals the per-root passes record: the
     # ragged first hop, stamping L_s, and the ragged count over N2(v_s).
+    # A root with no neighbor is never built and charges nothing.
     hop_work = _segment_sums(hop, left_ptr)
     hop_steps = _segment_sums(_ceil32(hop), left_ptr)
     w_deg = g.degrees_v[key_w]
+    n_keys = key_ptr[1:] - key_ptr[:-1]
     two_hop_work = _segment_sums(w_deg, key_ptr) - n_left
     two_hop_steps = _segment_sums(_ceil32(w_deg), key_ptr) - _ceil32(n_left)
     set_op_work = hop_work + n_left + two_hop_work
     simt_cycles = hop_steps + _ceil32(n_left) + 2 + two_hop_steps
     # the count pass is skipped (uncharged) when N2(v_s) is empty
-    simt_cycles += (key_ptr[1:] - key_ptr[:-1]) > 1
+    simt_cycles += n_keys > 1
+    simt_cycles[n_left == 0] = 0
 
     cand_keys = np.flatnonzero(later & ~full)
     cand_ptr = np.searchsorted(key_owner[cand_keys], np.arange(k + 1))
@@ -196,75 +230,53 @@ def build_root_tasks(
     absorbed_ptr = np.searchsorted(key_owner[absorbed], np.arange(k + 1))
     cands_all = key_w[cand_keys].astype(np.int32)
     counts_all = key_count[cand_keys]
-    right_all = key_w[absorbed].astype(np.int32)
+    # R_s = v_s followed by its later fully connected 2-hop vertices
+    rights = np.insert(key_w[absorbed].astype(np.int32), absorbed_ptr[:-1],
+                       roots.astype(np.int32))
+    right_ptr = absorbed_ptr + np.arange(k + 1)
 
-    out: list[tuple[RootTask | None, Counters]] = []
+    tasks: list[RootTask | None] = [None] * k
+    alive = np.flatnonzero((n_left > 0) & ~dropped)
     bitset_roots: list[int] = []
-    left_start = g.v_indptr[roots].tolist()
-    n_keys = (key_ptr[1:] - key_ptr[:-1]).tolist()
-    per_root = zip(
-        roots.tolist(), n_left.tolist(), dropped.tolist(), n_keys,
-        set_op_work.tolist(), simt_cycles.tolist(), two_hop_work.tolist(),
-        hop_work.tolist(), left_start,
-        cand_ptr.tolist(), cand_ptr[1:].tolist(),
-        absorbed_ptr.tolist(), absorbed_ptr[1:].tolist(),
-    )
-    for i, (
-        v_s, nl, drop, n_scope, work, cycles, n2_work, h_work, l_lo,
-        lo, hi, a_lo, a_hi,
-    ) in enumerate(per_root):
-        c = Counters()
-        if nl == 0:
-            out.append((None, c))
-            continue
-        c.set_op_work = work
-        c.simt_cycles = cycles
-        if drop:
-            out.append((None, c))
-            continue
-        resolved = backend
-        if backend == "auto" and lo == hi:
-            # No subtree to expand — nothing amortizes a universe build.
-            resolved = "sorted"
-        elif backend != "sorted":
-            resolved = resolve_backend(
-                backend, nl, hi - lo, n_scope, n2_work + nl
-            )
-            if resolved == "bitset":
-                # Building the packed rows is one word-parallel pass over
-                # the scoped adjacency, amortized across the subtree.
-                c.charge_bitset(n_scope, n_words(nl))
-                bitset_roots.append(i)
-        right = np.empty(1 + a_hi - a_lo, dtype=np.int32)
-        right[0] = v_s
-        right[1:] = right_all[a_lo:a_hi]
-        task = RootTask(
-            v_s=v_s,
-            left=g.v_indices[l_lo : l_lo + nl],
-            right=right,
-            cands=cands_all[lo:hi],
-            counts=counts_all[lo:hi],
-            work=h_work + n2_work + nl,
+    per_root = zip(*(a[alive].tolist() for a in (
+        np.arange(k), roots, n_left, n_keys, two_hop_work + n_left,
+        g.v_indptr[roots], cand_ptr[:-1], cand_ptr[1:], right_ptr[:-1],
+        right_ptr[1:],
+    )))
+    for i, v_s, nl, n_scope, scope_deg, l_lo, lo, hi, r_lo, r_hi in per_root:
+        resolved = resolve_backend(backend, nl, hi - lo, n_scope, scope_deg)
+        if resolved == "bitset":
+            bitset_roots.append(i)
+        tasks[i] = RootTask(
+            g.v_indices[l_lo : l_lo + nl], rights[r_lo:r_hi],
+            cands_all[lo:hi], counts_all[lo:hi], lineage=(v_s,),
             backend=resolved,
         )
-        out.append((task, c))
     if bitset_roots:
+        # Building the packed rows is one word-parallel pass over the
+        # scoped adjacency, amortized across the subtree: per root, the
+        # charge of ``Counters.charge_bitset(|scope|, n_words(|L_s|))``.
+        idx = np.array(bitset_roots)
+        nw = np.maximum((n_left[idx] + WORD_BITS - 1) // WORD_BITS, 1)
+        words = n_keys[idx] * nw
+        set_op_work[idx] += words
+        simt_cycles[idx] += (words + 31) // 32 + 1
         # Triples in key order: the key rank and L_s position of each.
         rank = np.cumsum(first) - 1
         left_pos = np.arange(len(lefts), dtype=np.int64) - left_ptr[left_owner]
         pos = np.repeat(left_pos, hop)[order]
         _attach_universes(
-            [out[i][0] for i in bitset_roots], np.array(bitset_roots),
+            [tasks[i] for i in bitset_roots], idx, nw,
             rank, pos, key_owner, key_ptr, key_w,
         )
-    return out
+    return RootChunk(roots, set_op_work, simt_cycles, tasks)
 
 
 def _attach_universes(
-    bitset_tasks, idx, rank, pos, key_owner, key_ptr, key_w
+    bitset_tasks, idx, words_per_row, rank, pos, key_owner, key_ptr, key_w
 ) -> None:
-    """Pack the rows of every bitset root (chunk index ``idx``) with one
-    word scatter.
+    """Pack the rows of every bitset root (chunk index ``idx``, rows of
+    ``words_per_row`` words) with one word scatter.
 
     Row ``j`` of a root packs ``N(scope[j]) ∩ L_s``: each triple of key
     ``j`` sets bit ``pos``, the position in ``L_s`` of the ``u`` it came
@@ -272,7 +284,7 @@ def _attach_universes(
     contiguous ``(|scope|, n_words)`` block per root.
     """
     nw = np.zeros(len(key_ptr) - 1, dtype=np.int64)
-    nw[idx] = [n_words(len(t.left)) for t in bitset_tasks]
+    nw[idx] = words_per_row
     block_ptr = np.zeros(len(key_ptr), dtype=np.int64)
     np.cumsum((key_ptr[1:] - key_ptr[:-1]) * nw, out=block_ptr[1:])
     words = np.zeros(int(block_ptr[-1]), dtype=np.uint64)
@@ -303,7 +315,7 @@ def build_root_task(
     A one-root :func:`build_root_tasks`; its build charges are merged
     into ``counters`` when given.
     """
-    [(task, c)] = build_root_tasks(graph, [v_s], backend=backend)
+    chunk = build_root_tasks(graph, [v_s], backend=backend)
     if counters is not None:
-        counters.merge(c)
-    return task
+        counters.merge(chunk.charges())
+    return chunk.tasks[0]

@@ -19,7 +19,7 @@ from ..core.bicliques import (
 )
 from ..core.localcount import LocalCounter
 from ..core.runner import relabeling_sink
-from ..core.tasks import RootTask, build_root_tasks, root_chunks
+from ..core.tasks import SubtreeTask, build_root_tasks, root_chunks
 from ..graph.bipartite import BipartiteGraph
 from ..graph.preprocess import prepare
 from .config import DEFAULT_CONFIG, GMBEConfig
@@ -31,7 +31,7 @@ __all__ = ["gmbe_host", "run_task_with_node_buffer"]
 def run_task_with_node_buffer(
     graph: BipartiteGraph,
     counter: LocalCounter,
-    task: RootTask,
+    task: SubtreeTask,
     sink: BicliqueSink,
     counters: Counters,
     *,
@@ -51,7 +51,7 @@ def run_task_with_node_buffer(
         task.counts,
         prune=prune,
         counters=counters,
-        universe=getattr(task, "universe", None),
+        universe=task.universe,
     )
     while True:
         idx = buf.next_candidate()
@@ -96,8 +96,9 @@ def gmbe_host(
     # sorted engine, so only node-reuse runs resolve a bitset backend.
     backend = config.set_backend if config.node_reuse else "sorted"
     for roots in root_chunks(g):
-        for task, build_counters in build_root_tasks(g, roots, backend=backend):
-            counters.merge(build_counters)
+        chunk = build_root_tasks(g, roots, backend=backend)
+        counters.merge(chunk.charges())
+        for task in chunk.tasks:
             if task is None:
                 continue
             backend_tally[task.backend] += 1

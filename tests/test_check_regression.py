@@ -88,20 +88,34 @@ class TestMainErrors:
 
 
 class TestFailureMessages:
-    def test_absolute_floor_printed_to_two_places(
-        self, gate_mod, capsys, tmp_path
-    ):
-        # faults has a 0.95 floor; a 0.93 run is within the regression
-        # tolerance of a 0.96 snapshot, so only the floor check fails
+    @staticmethod
+    def faults_gate_output(gate_mod, capsys, tmp_path, fresh):
+        """Output of a failing ``faults`` check whose run reads ``fresh``
+        against a 0.96 snapshot."""
         (gate,) = [g for g in gate_mod.GATES if g.name == "faults"]
         path = tmp_path / "BENCH_faults.json"
         path.write_text(json.dumps({gate.metric: 0.96}))
         fake = gate_mod.Gate(
             name=gate.name, path=path, metric=gate.metric,
-            run=lambda: {gate.metric: 0.93},
+            run=lambda: {gate.metric: fresh},
             tolerance=gate.tolerance, floor=gate.floor,
         )
         assert not gate_mod.check_gate(fake, update=False)
-        out = capsys.readouterr().out
-        assert "below the 0.95x acceptance floor (0.93x)" in out
+        return capsys.readouterr().out
+
+    def test_absolute_floor_printed_to_three_places(
+        self, gate_mod, capsys, tmp_path
+    ):
+        # faults has a 0.95 floor; a 0.93 run is within the regression
+        # tolerance of a 0.96 snapshot, so only the floor check fails
+        out = self.faults_gate_output(gate_mod, capsys, tmp_path, 0.93)
+        assert "below the 0.950x acceptance floor (0.930x)" in out
+        assert "regressed" not in out
+
+    def test_ratio_just_under_the_floor_does_not_print_as_the_floor(
+        self, gate_mod, capsys, tmp_path
+    ):
+        out = self.faults_gate_output(gate_mod, capsys, tmp_path, 0.946)
+        assert "fresh " in out and "0.946x" in out
+        assert "below the 0.950x acceptance floor (0.946x)" in out
         assert "regressed" not in out

@@ -12,11 +12,22 @@ import pytest
 
 import repro.gmbe.kernel as kernel_mod
 from repro.checkpoint import load_checkpoint
-from repro.core import BicliqueCollector, BicliqueCounter
+from repro.core import BicliqueCollector, BicliqueCounter, Counters
+from repro.core.batch import BatchMember, run_batch
+from repro.core.expand import gamma_matches
+from repro.core.localcount import LocalCounter
+from repro.core.tasks import build_root_tasks
 from repro.gmbe import GMBEConfig, SubtreeTask, gmbe_gpu, gmbe_host
+from repro.gmbe.host import run_task_with_node_buffer
 from repro.gmbe.kernel import _should_split
+from repro.gpusim.device import A100
 from repro.gpusim.faults import FaultPlan
-from repro.graph import block_overlap_bipartite, power_law_bipartite
+from repro.graph import (
+    BipartiteGraph,
+    block_overlap_bipartite,
+    power_law_bipartite,
+)
+from repro.graph.preprocess import prepare
 from tests.test_batch import make_mixed_width
 
 
@@ -99,6 +110,94 @@ class TestDurationModels:
         t16 = gmbe_gpu(g, config=GMBEConfig(warps_per_sm=16)).sim_time
         t32 = gmbe_gpu(g, config=GMBEConfig(warps_per_sm=32)).sim_time
         assert t32 >= t16
+
+
+# ---------------------------------------------------------------------------
+# leaves (no candidates) run in closed form, charged as the walk charges
+# ---------------------------------------------------------------------------
+
+
+def _leaf_kernel(graph, scheduling, backend):
+    config = GMBEConfig(scheduling=scheduling, set_backend=backend)
+    prepared = prepare(graph, order=config.order)
+    dev = A100.with_(warps_per_sm=config.warps_per_sm)
+    ledger = kernel_mod._EmissionLedger(
+        prepared, None, robust=False, keep_records=False
+    )
+    return kernel_mod._Kernel(
+        prepared, graph, config, dev, 1, ledger, root_mask=None,
+        snapshot=None, fault_plan=None, writer=None, collect_stats=False,
+    )
+
+
+def _walked(kernel, task):
+    """Cycles and Counters of ``task`` charged the way execute() charges
+    a task it walks with a node buffer: the dequeue check first for a
+    split child, then the walk."""
+    c, base = Counters(), 0.0
+    if task.needs_check:
+        if not gamma_matches(kernel.g, task.left, len(task.right), c,
+                             universe=task.universe):
+            c.non_maximal += 1
+            return kernel.duration(c), c
+        c.maximal += 1
+        base = kernel.duration(c)
+    emitted = []
+    run_task_with_node_buffer(
+        kernel.g, LocalCounter(kernel.g), task,
+        lambda left, right: emitted.append(left), c,
+    )
+    assert emitted == []
+    return base + kernel.duration(c), c
+
+
+class TestClosedFormLeaves:
+    @pytest.mark.parametrize("backend", ["sorted", "bitset"])
+    @pytest.mark.parametrize("scheduling", ["task", "warp", "block"])
+    def test_leaf_charges_equal_the_node_buffer_walk(self, scheduling,
+                                                     backend):
+        kernel = _leaf_kernel(make_mixed_width(40, 16, seed=2), scheduling,
+                              backend)
+        chunk = build_root_tasks(kernel.g, np.arange(kernel.g.n_v),
+                                 backend=backend)
+        roots = [t for t in chunk.tasks if t is not None and not len(t.cands)]
+        assert roots
+        empty = np.zeros(0, dtype=np.int32)
+        for root in roots:
+            assert (root.universe is not None) == (backend == "bitset")
+            # a split child with no candidates whose node passes its
+            # dequeue check, and one whose R misses a vertex of Γ(L)
+            children = [
+                SubtreeTask(root.left, right, empty, empty.astype(np.int64),
+                            needs_check=True, universe=root.universe,
+                            lineage=root.lineage + (i,))
+                for i, right in enumerate((root.right, root.right[1:]))
+            ]
+            for task in [root, *children]:
+                assert not kernel._batch_eligible(task)
+                cycles, counters = _walked(kernel, task)
+                before = vars(kernel.master).copy()
+                out = kernel.execute(task, 0)
+                assert out.cycles == cycles and out.children == []
+                delta = {k: v - before[k] for k, v in vars(kernel.master).items()}
+                delta["peak_stack_depth"] = kernel.master.peak_stack_depth
+                assert delta == vars(counters)
+
+    def test_batch_charges_an_empty_member_nothing(self):
+        kernel = _leaf_kernel(make_mixed_width(40, 16, seed=2), "task",
+                              "bitset")
+        tasks = [t for t in build_root_tasks(
+            kernel.g, np.arange(kernel.g.n_v), backend="bitset").tasks
+            if t is not None]
+        leaves = [t for t in tasks if not len(t.cands)]
+        assert leaves and len(leaves) < len(tasks)
+        members = [BatchMember(t.universe, t.left, t.right, t.cands,
+                               t.counts, Counters()) for t in tasks]
+        out = run_batch(members)
+        for t, m in zip(tasks, members):
+            if not len(t.cands):
+                assert vars(m.counters) == vars(Counters())
+        assert out.member_ptr[-1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +301,25 @@ class TestEmissionModeMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _with_sparse_hub(g):
+    """``g`` plus a disjoint sparse hub: V vertex ``h1`` has 130 U
+    neighbors, each with two private degree-1 V neighbors, and shares 65
+    of them with a larger hub ``h2``.  ``h1``'s root task has a
+    candidate (``h2``) but a scope too sparse for the packed rows, so
+    the default ``auto`` backend runs it on the sorted backend, one task
+    at a time; the registry graphs' sequential tasks are all leaves,
+    which run in closed form."""
+    rows = np.repeat(np.arange(g.n_u), np.diff(g.u_indptr))
+    edges = list(zip(rows.tolist(), np.asarray(g.u_indices).tolist()))
+    u0, h1, h2 = g.n_u, g.n_v, g.n_v + 1
+    edges += [(u0 + i, h1) for i in range(130)]
+    edges += [(u0 + i, h2) for i in range(65)]
+    edges += [(u0 + 130 + i, h2) for i in range(75)]
+    edges += [(u0 + i, h2 + 1 + 2 * i + j)
+              for i in range(130) for j in range(2)]
+    return BipartiteGraph.from_edges(u0 + 205, h2 + 261, edges)
+
+
 class TestPerfbenchProbes:
     def test_probes_record_kernel_layers_and_restore_names(self, monkeypatch):
         perfbench = Path(__file__).resolve().parents[1] / "perfbench"
@@ -211,7 +329,7 @@ class TestPerfbenchProbes:
         from repro.datasets.registry import load
 
         before = dict(vars(kernel_mod))
-        graph = load("GH", scale=0.1)
+        graph = _with_sparse_hub(load("GH", scale=0.1))
 
         def layers(run) -> set:
             tracer = spans.Tracer()

@@ -31,15 +31,13 @@ def _reference_root_task(graph, counter, v_s, counters=None, *, backend):
     flat, hop_lengths = ragged_gather(
         graph.u_indptr, graph.u_indices, left.astype(np.int64)
     )
-    work = int(len(flat))
     two_hop = np.unique(flat)
     two_hop = two_hop[two_hop != v_s]
     counter.set_left(left)
     if counters is not None:
         counters.charge_ragged(hop_lengths)
         counters.charge(len(left), 0)  # stamping L_s
-    counts, gathered = counter.counts(two_hop, counters)
-    work += gathered + len(left)
+    counts, _ = counter.counts(two_hop, counters)
     full = counts == len(left)
     absorbed = two_hop[full]
     if len(absorbed) and int(absorbed[0]) < v_s:
@@ -70,12 +68,11 @@ def _reference_root_task(graph, counter, v_s, counters=None, *, backend):
             if counters is not None:
                 counters.charge_bitset(len(scope), universe.n_words)
     return RootTask(
-        v_s=v_s,
         left=left,
         right=right,
         cands=cands,
         counts=counts[later_partial],
-        work=work,
+        lineage=(v_s,),
         backend=resolved,
         universe=universe,
     )
@@ -83,6 +80,11 @@ def _reference_root_task(graph, counter, v_s, counters=None, *, backend):
 
 def _same_array(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _pairs(chunk):
+    """``(task, build charges)`` of every root of a built chunk."""
+    return [(task, chunk.charges(i)) for i, task in enumerate(chunk.tasks)]
 
 
 def _assert_matches_reference(graph, roots, built, backend):
@@ -98,8 +100,7 @@ def _assert_matches_reference(graph, roots, built, backend):
         assert (task is None) == (ref is None), v_s
         if ref is None:
             continue
-        assert task.v_s == ref.v_s and type(task.v_s) is int
-        assert task.work == ref.work and type(task.work) is int
+        assert task.lineage == ref.lineage and type(task.lineage[0]) is int
         assert task.backend == ref.backend
         for name in ("left", "right", "cands", "counts"):
             assert _same_array(getattr(task, name), getattr(ref, name)), name
@@ -188,14 +189,14 @@ class TestBulkBuilderEquivalence:
     def test_registry_graphs_match_reference(self, code, backend):
         g = prepare(registry.load(code, scale=0.1)).graph
         roots = np.arange(g.n_v)
-        built = build_root_tasks(g, roots, backend=backend)
+        built = _pairs(build_root_tasks(g, roots, backend=backend))
         _assert_matches_reference(g, roots, built, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_roots_without_neighbours_get_zero_charges(self, backend):
         g = _with_isolated_vertices()
         roots = np.arange(g.n_v)
-        built = build_root_tasks(g, roots, backend=backend)
+        built = _pairs(build_root_tasks(g, roots, backend=backend))
         _assert_matches_reference(g, roots, built, backend)
         for v in (0, 3, 5):
             task, c = built[v]
@@ -214,25 +215,25 @@ class TestBulkBuilderEquivalence:
         assert roots.tolist() == [v for v in range(5, g.n_v) if mask[v]]
         built = [
             pair for chunk in chunks
-            for pair in build_root_tasks(g, chunk, backend=backend)
+            for pair in _pairs(build_root_tasks(g, chunk, backend=backend))
         ]
         _assert_matches_reference(g, roots, built, backend)
 
     def test_empty_root_list(self):
         g = _with_isolated_vertices()
-        assert build_root_tasks(g, np.array([], dtype=np.int64)) == []
+        chunk = build_root_tasks(g, np.array([], dtype=np.int64))
+        assert chunk.tasks == [] and len(chunk.roots) == 0
+        assert vars(chunk.charges()) == vars(Counters())
 
     def test_one_root_wrapper_merges_counters(self):
         g = prepare(random_bipartite(12, 9, 0.4, seed=7)).graph
         total = Counters()
         for v_s in range(g.n_v):
             task = build_root_task(g, v_s, total, backend="auto")
-            [(bulk, _)] = build_root_tasks(g, [v_s], backend="auto")
+            [bulk] = build_root_tasks(g, [v_s], backend="auto").tasks
             assert (task is None) == (bulk is None)
-        expect = Counters()
-        for _, c in build_root_tasks(g, np.arange(g.n_v), backend="auto"):
-            expect.merge(c)
-        assert vars(total) == vars(expect)
+        expect = build_root_tasks(g, np.arange(g.n_v), backend="auto")
+        assert vars(total) == vars(expect.charges())
 
 
 class TestRootChunks:
@@ -302,5 +303,5 @@ def test_property_bulk_build_matches_reference(graph_and_cuts, backend):
     roots = np.arange(g.n_v)
     built = []
     for chunk in np.split(roots, cuts):
-        built.extend(build_root_tasks(g, chunk, backend=backend))
+        built.extend(_pairs(build_root_tasks(g, chunk, backend=backend)))
     _assert_matches_reference(g, roots, built, backend)
