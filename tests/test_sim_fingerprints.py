@@ -13,6 +13,10 @@ The cases are:
 - WA@1.0 and Mti@1.0 under a seeded fault plan (SM crashes and queue
   drops, with split bounds small enough that Mti splits), which also
   pins the requeue count and the fault-log length;
+- WA@1.0, Mti@1.0 and GH@0.3 with ``bound_height=2, bound_size=4``,
+  checkpointing without a halt, and halted after 7 tasks then resumed
+  (the resumed run's delivered sequence is hashed), which pin the
+  order of the checkpoint and replay paths;
 - every registry graph at 0.1 under ``warp`` and ``block`` scheduling
   (``slow``).
 
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +47,7 @@ SCALES = (0.1, 0.5)
 PERFBENCH_INPUTS = (("GH", 0.3), ("EE", 0.35), ("GH", 0.2),
                     ("TM", 0.75), ("WA", 1.0), ("Mti", 1.0))
 SPARSE = (("WA", 1.0), ("Mti", 1.0))
+CHECKPOINTED = SPARSE + (("GH", 0.3),)
 
 #: variant name -> (``GMBEConfig`` fields, extra ``gmbe_gpu`` arguments)
 VARIANTS = {
@@ -52,6 +59,8 @@ VARIANTS = {
     "2gpu": ({}, {"n_gpus": 2}),
     # small bounds so Mti splits and its queue drops fire
     "faults": ({"bound_height": 2, "bound_size": 4}, {}),
+    "checkpoint": ({"bound_height": 2, "bound_size": 4}, {}),
+    "resume": ({"bound_height": 2, "bound_size": 4}, {}),
 }
 
 
@@ -70,10 +79,19 @@ def fingerprint(code: str, scale: float, variant: str = "task") -> dict:
         h.update(b";")
 
     fields, kwargs = VARIANTS[variant]
+    config = GMBEConfig(**fields)
+    graph = load(code, scale=scale)
     if variant == "faults":
         kwargs = {"fault_plan": _fault_plan()}
-    res = gmbe_gpu(load(code, scale=scale), sink,
-                   config=GMBEConfig(**fields), **kwargs)
+    with tempfile.TemporaryDirectory() as tmp:
+        if variant in ("checkpoint", "resume"):
+            kwargs = {"checkpoint_path": os.path.join(tmp, "run.ckpt")}
+        if variant == "resume":
+            halted = gmbe_gpu(graph, config=config, halt_after_tasks=7,
+                              **kwargs)
+            assert halted.extras["halted"]
+            kwargs["resume"] = True
+        res = gmbe_gpu(graph, sink, config=config, **kwargs)
     report = res.extras["report"]
     out = {
         "emissions": h.hexdigest(),
@@ -99,6 +117,8 @@ _CASES = (
     + [(code, scale, "task") for code, scale in PERFBENCH_INPUTS]
     + [(code, scale, v) for v in ("bitset", "unbatched", "2gpu", "faults")
        for code, scale in SPARSE]
+    + [(code, scale, v) for v in ("checkpoint", "resume")
+       for code, scale in CHECKPOINTED]
 )
 _SLOW_CASES = [(code, 0.1, v) for v in ("warp", "block")
                for code in DATASET_ORDER]
