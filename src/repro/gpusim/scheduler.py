@@ -40,7 +40,6 @@ from .timeline import BusyRecorder
 __all__ = [
     "ExecOutcome",
     "LineageEntry",
-    "SimUnit",
     "SimReport",
     "PersistentThreadScheduler",
 ]
@@ -57,24 +56,6 @@ class ExecOutcome:
 
     cycles: float
     children: list[tuple[float, Any]] = field(default_factory=list)
-
-
-@dataclass
-class SimUnit:
-    """One schedulable execution unit (a warp, or a block)."""
-
-    unit_id: int
-    device_id: int
-    sm: int
-    #: resident slot within the SM (0..units_per_sm-1); together with
-    #: ``sm`` it forms the device-local key busy intervals are recorded
-    #: under, so timeline grouping by SM works on any device count.
-    slot: int = 0
-    free_at: float = 0.0
-
-    @property
-    def record_key(self) -> int:
-        return self.sm * 10_000 + self.slot
 
 
 #: Lifecycle states of a lineage-registry entry.  There is no "running"
@@ -201,25 +182,22 @@ class PersistentThreadScheduler:
         #: network round-trip of a *system-wide* atomicInc when devices
         #: live on different machines (the paper's distributed extension).
         self._root_surcharges = root_pull_surcharges or [0.0] * len(devices)
-        self._units: list[SimUnit] = []
-        self._unit_sm_width = units_per_sm
-        # Interleave units across SMs and devices (slot-major order): all
-        # persistent warps start pulling the shared atomic counter at the
-        # same instant, so work must spread over every SM of every device
-        # rather than filling SM 0 first.
+        # A unit (a warp, or a block) is its index.  Units interleave
+        # across SMs and devices (slot-major order): all persistent warps
+        # start pulling the shared atomic counter at the same instant, so
+        # work must spread over every SM of every device rather than
+        # filling SM 0 first.  Unit ``u`` is resident in slot
+        # ``u // len(layout)`` of ``layout[u % len(layout)]``.
         max_sms = max(dev.n_sms for dev in devices)
-        for slot in range(units_per_sm):
-            for sm in range(max_sms):
-                for dev_id, dev in enumerate(devices):
-                    if sm < dev.n_sms:
-                        self._units.append(
-                            SimUnit(
-                                unit_id=len(self._units),
-                                device_id=dev_id,
-                                sm=sm,
-                                slot=slot,
-                            )
-                        )
+        self._layout: list[tuple[int, int]] = [
+            (dev_id, sm)
+            for sm in range(max_sms)
+            for dev_id, dev in enumerate(devices)
+            if sm < dev.n_sms
+        ]
+        self._n_units = units_per_sm * len(self._layout)
+        #: when each unit last finished (the recovery sweep wakes one)
+        self._free_at = [0.0] * self._n_units
         self._queues = [
             TwoLevelTaskQueue(dev.n_sms, local_capacity=local_queue_capacity)
             for dev in devices
@@ -344,12 +322,20 @@ class PersistentThreadScheduler:
                 return self._queues[i]
         return self._queues[device_id]  # unreachable: last SM never dies
 
+    def _place(self, unit_id: int) -> tuple[int, int, int]:
+        """``(device_id, sm, slot)`` of unit ``unit_id``."""
+        slot, at = divmod(unit_id, len(self._layout))
+        return (*self._layout[at], slot)
+
     def _log_fault(
-        self, kind: str, site: str, time: float, unit: SimUnit | None,
+        self, kind: str, site: str, time: float, unit_id: int | None,
         payload: Any, **detail,
     ) -> None:
         if self._fault_log is None:
             return
+        device, sm, _ = (
+            self._place(unit_id) if unit_id is not None else (-1, -1, 0)
+        )
         lineage = (
             self._lineage_of(payload)
             if payload is not None and self._lineage_of is not None
@@ -360,9 +346,9 @@ class PersistentThreadScheduler:
             kind=kind,
             site=site,
             time=time,
-            device=unit.device_id if unit is not None else -1,
-            sm=unit.sm if unit is not None else -1,
-            unit=unit.unit_id if unit is not None else -1,
+            device=device,
+            sm=sm,
+            unit=unit_id if unit_id is not None else -1,
             lineage=lineage,
             span_id=self.trace_span_id,
             detail=detail,
@@ -444,8 +430,10 @@ class PersistentThreadScheduler:
 
     def run(self) -> SimReport:
         """Simulate until all units retire; returns the report."""
-        heap: list[tuple[float, int]] = [(0.0, u.unit_id) for u in self._units]
-        heapq.heapify(heap)
+        # ascending, so already a heap
+        heap: list[tuple[float, int]] = [
+            (0.0, u) for u in range(self._n_units)
+        ]
         halted = False
         while True:
             halted = self._run_heap(heap)
@@ -458,18 +446,19 @@ class PersistentThreadScheduler:
             pending = self.frontier()
             if not pending:
                 break
-            unit = next(
-                u for u in self._units
-                if u.sm not in self._dead[u.device_id]
-            )
-            target = self._queues[unit.device_id]
+            for unit_id in range(self._n_units):
+                device_id, sm, _ = self._place(unit_id)
+                if sm not in self._dead[device_id]:
+                    break
+            free_at = self._free_at[unit_id]
+            target = self._queues[device_id]
             for i, q in enumerate(self._queues):
                 if q is target:
                     continue
                 for payload in q.drain_all():
-                    target.requeue(unit.free_at, payload)
-            self._recover_orphans(unit.device_id, unit.free_at)
-            heapq.heappush(heap, (unit.free_at, unit.unit_id))
+                    target.requeue(free_at, payload)
+            self._recover_orphans(device_id, free_at)
+            heapq.heappush(heap, (free_at, unit_id))
         per_device = [rec.makespan() for rec in self._recorders]
         return SimReport(
             makespan_cycles=max(per_device, default=0.0),
@@ -506,18 +495,23 @@ class PersistentThreadScheduler:
         phases = self._phase_cycles
         depth_samples = self._depth_samples
         split_events = self._split_events
+        layout, free_at = self._layout, self._free_at
         while heap:
             now, unit_id = heapq.heappop(heap)
-            unit = self._units[unit_id]
-            if unit.sm in self._dead[unit.device_id]:
+            slot, at = divmod(unit_id, len(layout))
+            device_id, sm = layout[at]
+            if sm in self._dead[device_id]:
                 continue  # the SM died while this unit was scheduled
-            dev = self._devices[unit.device_id]
-            queue = self._queues[unit.device_id]
-            recorder = self._recorders[unit.device_id]
+            # device-local key busy intervals are recorded under, so
+            # timeline grouping by SM works on any device count
+            key = sm * 10_000 + slot
+            dev = self._devices[device_id]
+            queue = self._queues[device_id]
+            recorder = self._recorders[device_id]
 
             start = now
             acquire_cycles = 0.0
-            got = queue.pop_ready(unit.sm, now)
+            got = queue.pop_ready(sm, now)
             payload = None
             if got is not None:
                 payload, level = got
@@ -528,20 +522,20 @@ class PersistentThreadScheduler:
                 )
             elif not self._roots_done:
                 root_cycles, payload = self._pull_root()
-                acquire_cycles += root_cycles + self._root_surcharges[unit.device_id]
+                acquire_cycles += root_cycles + self._root_surcharges[device_id]
                 if payload is None and root_cycles > 0:
                     # charge the wasted pulls, then retry the queues
-                    recorder.record(unit.record_key, start, start + acquire_cycles)
-                    unit.free_at = start + acquire_cycles
-                    heapq.heappush(heap, (unit.free_at, unit_id))
+                    recorder.record(key, start, start + acquire_cycles)
+                    free_at[unit_id] = start + acquire_cycles
+                    heapq.heappush(heap, (free_at[unit_id], unit_id))
                     continue
             fresh_root = got is None and payload is not None
             if payload is None:
-                waiting = queue.pop_earliest(unit.sm)
+                waiting = queue.pop_earliest(sm)
                 if waiting is None:
                     # Before retiring, recover any silently dropped
                     # tasks onto this device and try again.
-                    if self._recover_orphans(unit.device_id, now):
+                    if self._recover_orphans(device_id, now):
                         heapq.heappush(heap, (now, unit_id))
                         continue
                     if not any(self._queues):
@@ -571,21 +565,21 @@ class PersistentThreadScheduler:
                 # Wedged before useful work; the watchdog reclaims the
                 # unit and the task moves to a surviving SM.
                 end = start + acquire_cycles + self._plan.watchdog_cycles
-                recorder.record(unit.record_key, start, end)
+                recorder.record(key, start, end)
                 if phases is not None:
                     phases["queue_acquire"] += acquire_cycles
                     phases["watchdog"] += self._plan.watchdog_cycles
                 self._log_fault(
-                    "warp_hang", "execute", end, unit, payload,
+                    "warp_hang", "execute", end, unit_id, payload,
                     fraction=decision.fraction,
                     watchdog_cycles=self._plan.watchdog_cycles,
                 )
-                self._requeue_failed(payload, unit.device_id, end, entry)
-                unit.free_at = end
+                self._requeue_failed(payload, device_id, end, entry)
+                free_at[unit_id] = end
                 heapq.heappush(heap, (end, unit_id))
                 continue
 
-            outcome = self._execute(payload, unit.device_id)
+            outcome = self._execute(payload, device_id)
 
             if (
                 decision is not None
@@ -598,16 +592,16 @@ class PersistentThreadScheduler:
                 # and its local queue migrates to the global queue.
                 frac = 0.25 + 0.5 * decision.fraction
                 end = start + acquire_cycles + outcome.cycles * frac
-                recorder.record(unit.record_key, start, end)
-                self._dead[unit.device_id].add(unit.sm)
-                drained = queue.drain_sm(unit.sm)
+                recorder.record(key, start, end)
+                self._dead[device_id].add(sm)
+                drained = queue.drain_sm(sm)
                 self._log_fault(
-                    "sm_crash", "execute", end, unit, payload,
+                    "sm_crash", "execute", end, unit_id, payload,
                     fraction=decision.fraction, drained=len(drained),
                 )
-                self._requeue_failed(payload, unit.device_id, end, entry)
+                self._requeue_failed(payload, device_id, end, entry)
                 for dp in drained:
-                    self._displace(dp, unit.device_id, end)
+                    self._displace(dp, device_id, end)
                 continue  # the unit dies with its SM
 
             cycles = outcome.cycles
@@ -617,7 +611,7 @@ class PersistentThreadScheduler:
                 cycles *= plan.pressure_factor
                 self._log_fault(
                     "mem_pressure", "execute",
-                    start + acquire_cycles + cycles, unit, payload,
+                    start + acquire_cycles + cycles, unit_id, payload,
                     fraction=decision.fraction,
                     pressure_factor=plan.pressure_factor,
                 )
@@ -626,14 +620,14 @@ class PersistentThreadScheduler:
             if outcome.children:
                 self.tasks_split += 1
             end = start + acquire_cycles + cycles
-            recorder.record(unit.record_key, start, end)
+            recorder.record(key, start, end)
             if phases is not None:
                 phases["queue_acquire"] += acquire_cycles
                 phases["execute"] += cycles
-                depth_samples.append((end, unit.device_id, len(queue)))
+                depth_samples.append((end, device_id, len(queue)))
                 if outcome.children:
                     split_events.append(
-                        (end, unit.device_id, len(outcome.children))
+                        (end, device_id, len(outcome.children))
                     )
             for offset, child in outcome.children:
                 avail_time = start + acquire_cycles + offset
@@ -650,14 +644,14 @@ class PersistentThreadScheduler:
                     if centry is not None:
                         centry.state = _DROPPED
                     self._log_fault(
-                        "queue_drop", "push", avail_time, unit, child,
+                        "queue_drop", "push", avail_time, unit_id, child,
                         fraction=drop.fraction,
                     )
                     continue
-                queue.push(unit.sm, avail_time, child)
+                queue.push(sm, avail_time, child)
             if self.on_task_done is not None:
                 self.on_task_done(self.tasks_executed, end)
-            unit.free_at = end
+            free_at[unit_id] = end
             heapq.heappush(heap, (end, unit_id))
             if (
                 self._halt_after is not None

@@ -81,9 +81,9 @@ def active_sm_curve(
     """Fig. 9's curve: active SMs over time, with warps grouped per SM.
 
     The scheduler records each warp under the key ``sm * 10_000 + slot``
-    (see :class:`repro.gpusim.scheduler.SimUnit`), so grouping divides
-    the key back down; ``warps_per_sm`` is accepted for API symmetry but
-    unused.
+    (see :class:`repro.gpusim.scheduler.PersistentThreadScheduler`), so
+    grouping divides the key back down; ``warps_per_sm`` is accepted for
+    API symmetry but unused.
     """
     del warps_per_sm
     return active_units_curve(
