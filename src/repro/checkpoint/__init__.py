@@ -16,7 +16,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".snapshot": (
-        "CHECKPOINT_VERSION CheckpointError EmissionRecord Snapshot "
+        "CHECKPOINT_VERSION CheckpointError Snapshot "
         "TaskRecord load_checkpoint save_checkpoint"
     ),
     ".writer": "CheckpointWriter",

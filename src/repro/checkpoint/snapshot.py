@@ -10,10 +10,11 @@ an interrupted enumeration bit-identically:
 - the frontier: ``root_cursor`` (next V vertex to pull from the shared
   atomic counter) and one :class:`TaskRecord` per pending subtree task
   (lineage, L/R/candidate arrays, retry count);
-- the output so far: one :class:`EmissionRecord` per emitted biclique,
-  keyed by ``(lineage, seq)`` — replayed into the sink on resume — plus
-  the set of lineages that already executed, which seeds the ledger's
-  per-task dedup so nothing is emitted twice;
+- the output so far: every emitted biclique in emission order, as one
+  ragged block (prepared-graph ids plus per-record lengths, per side)
+  that seeds the resumed run's output, plus the set of lineages that
+  already executed, which seeds the ledger's per-task dedup so nothing
+  is emitted twice;
 - continuity state: work counters, elapsed simulated cycles, and the
   fault plan's ``(seed, cursor)`` so injected faults continue from
   where they stopped.
@@ -31,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.bicliques import RaggedBicliques, _offsets
 from ..store.provenance import pack_lineages, unpack_lineages
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
-    "EmissionRecord",
     "Snapshot",
     "TaskRecord",
     "load_checkpoint",
@@ -46,7 +47,10 @@ __all__ = [
 #: Bump on any incompatible change to the snapshot schema.
 #: v2: ``executed`` (explicit lineage lists) became ``executed_paths``
 #: (LCP-compressed rows, see :mod:`repro.store.provenance`).
-CHECKPOINT_VERSION = 2
+#: v3: ``emissions`` (one ``[lineage, seq, left, right]`` row per
+#: biclique) became one ragged block: ``left``/``right`` ids and
+#: ``left_lens``/``right_lens`` per-record lengths.
+CHECKPOINT_VERSION = 3
 
 _KIND = "gmbe-checkpoint"
 
@@ -95,33 +99,6 @@ class TaskRecord:
 
 
 @dataclass
-class EmissionRecord:
-    """One already-emitted biclique with its exactly-once ledger key."""
-
-    lineage: tuple
-    seq: int
-    left: list
-    right: list
-
-    def to_dict(self) -> list:
-        # Compact row form: emissions dominate snapshot size.
-        return [
-            list(self.lineage),
-            int(self.seq),
-            [int(x) for x in self.left],
-            [int(x) for x in self.right],
-        ]
-
-    @classmethod
-    def from_row(cls, row) -> "EmissionRecord":
-        try:
-            lineage, seq, left, right = row
-            return cls(tuple(lineage), int(seq), left, right)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed emission record: {exc}") from exc
-
-
-@dataclass
 class Snapshot:
     """Full resumable state of one interrupted enumeration."""
 
@@ -132,10 +109,13 @@ class Snapshot:
     root_cursor: int
     n_roots: int
     tasks: list = field(default_factory=list)       # list[TaskRecord]
-    emissions: list = field(default_factory=list)   # list[EmissionRecord]
+    #: every biclique emitted so far, in emission order (prepared ids)
+    emissions: RaggedBicliques = field(
+        default_factory=lambda: RaggedBicliques.from_bicliques(())
+    )
     #: lineages whose execute() already delivered emissions — seeds the
     #: ledger's per-task dedup on resume.  Kept separate from
-    #: ``emissions`` because a root's seq-0 biclique is emitted at pull
+    #: ``emissions`` because a root's own biclique is emitted at pull
     #: time, before its task executes.
     executed: list = field(default_factory=list)    # list[tuple]
     counters: dict = field(default_factory=dict)
@@ -146,6 +126,7 @@ class Snapshot:
     version: int = CHECKPOINT_VERSION
 
     def to_json(self) -> str:
+        block = self.emissions
         return json.dumps({
             "kind": _KIND,
             "version": self.version,
@@ -156,7 +137,12 @@ class Snapshot:
             "root_cursor": self.root_cursor,
             "n_roots": self.n_roots,
             "tasks": [t.to_dict() for t in self.tasks],
-            "emissions": [e.to_dict() for e in self.emissions],
+            "emissions": {
+                "left": block.left.tolist(),
+                "left_lens": np.diff(block.left_ptr).tolist(),
+                "right": block.right.tolist(),
+                "right_lens": np.diff(block.right_ptr).tolist(),
+            },
             # Executed lineages are enumeration-tree paths: store them as
             # LCP-compressed rows (store.provenance), not full lists.
             "executed_paths": pack_lineages(self.executed),
@@ -210,10 +196,7 @@ class Snapshot:
                 root_cursor=int(data["root_cursor"]),
                 n_roots=int(data["n_roots"]),
                 tasks=[TaskRecord.from_dict(t) for t in data.get("tasks", ())],
-                emissions=[
-                    EmissionRecord.from_row(r)
-                    for r in data.get("emissions", ())
-                ],
+                emissions=_read_emissions(data),
                 executed=_read_executed_paths(data),
                 counters=dict(data.get("counters", {})),
                 fault_plan=data.get("fault_plan"),
@@ -270,6 +253,49 @@ def _read_executed_paths(data: dict) -> list:
             f"checkpoint has malformed executed_paths rows ({exc}); delete "
             f"it and restart without --resume"
         ) from exc
+
+
+def _read_emissions(data: dict) -> RaggedBicliques:
+    """Decode the v3 ``emissions`` block: per side, non-negative ids
+    and per-record lengths that sum to the id count."""
+    block = data.get("emissions")
+    if block is None:
+        return RaggedBicliques.from_bicliques(())
+    try:
+        if not isinstance(block, dict):
+            raise TypeError("emissions is not an object")
+        left, left_ptr = _read_side(block, "left")
+        right, right_ptr = _read_side(block, "right")
+        if len(left_ptr) != len(right_ptr):
+            raise ValueError("left and right record counts differ")
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint has a malformed emissions block ({exc}); delete "
+            f"it and restart without --resume"
+        ) from exc
+    return RaggedBicliques(left, left_ptr, right, right_ptr)
+
+
+def _read_side(block: dict, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """One side's ids and record offsets."""
+    ids, lens = (_int_list(block, name) for name in (side, f"{side}_lens"))
+    if lens.sum() != len(ids):
+        raise ValueError(
+            f"{side}_lens sum to {lens.sum()}, not the {len(ids)} {side} ids"
+        )
+    return ids, _offsets(lens)
+
+
+def _int_list(block: dict, name: str) -> np.ndarray:
+    values = block.get(name)
+    if not isinstance(values, list):
+        raise TypeError(f"{name} is not a list")
+    arr = np.array(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise TypeError(f"{name} holds values that are not int64 integers")
+    if (arr < 0).any():
+        raise ValueError(f"{name} holds a negative value")
+    return arr.astype(np.int64)
 
 
 def _plain(value):

@@ -181,8 +181,7 @@ class BatchStats:
 
 class BatchEmissions(RaggedBicliques):
     """Every biclique one :func:`run_batch` call reported, as ragged
-    records in lockstep-round order: ``int32`` prepared-graph ids
-    (``int64`` input labels after :meth:`relabeled`).
+    records in lockstep-round order: ``int32`` prepared-graph ids.
 
     ``order[member_ptr[i]:member_ptr[i+1]]`` lists member ``i``'s
     emission ids in that member's own traversal order.  Nothing per
@@ -213,14 +212,6 @@ class BatchEmissions(RaggedBicliques):
         left, right = self.left, self.right
         for a, b, c, d in zip(lo, hi, ro, rh):
             yield left[a:b], right[c:d]
-
-    def relabeled(self, prepared) -> "BatchEmissions":
-        """The same emissions in ``prepared``'s input labels (see
-        :meth:`RaggedBicliques.relabeled`); ``order`` and ``member_ptr``
-        are shared."""
-        r = super().relabeled(prepared)
-        return BatchEmissions(r.left, r.left_ptr, r.right, r.right_ptr,
-                              self.order, self.member_ptr)
 
 
 def lane_state_bytes(

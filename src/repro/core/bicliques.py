@@ -5,10 +5,11 @@ Every enumerator in the library reports maximal bicliques through a
 (sorted, duplicate-free) numpy integer arrays, which may be views the
 enumerator reuses after the call returns.  The provided sinks cover the
 common needs: counting (the paper only counts — its Table 1 reports
-``Max. bicliques``), collecting, and streaming to a file.  A
-:class:`BicliqueCollector` is the one sink the GMBE kernel does not
-call per emission: it fills the collector with the whole run at once,
-as one :class:`RaggedBicliques` block (DESIGN.md §10).  Enumerators
+``Max. bicliques``), collecting, and streaming to a file.  The GMBE
+kernel calls its sink after the simulation, from the whole run held as
+one :class:`RaggedBicliques` block: a :class:`BicliqueCollector` gets
+the block at once, any other sink one call per biclique (DESIGN.md
+§10).  Enumerators
 also fill a shared :class:`Counters` record that backs Table 2 (ratio
 of non-maximal to maximal checks) and the simulator's cost model.
 """

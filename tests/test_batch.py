@@ -34,7 +34,7 @@ from repro.core.batch import (
     ragged_stack,
     run_batch,
 )
-from repro.core.bicliques import BicliqueCounter, Counters
+from repro.core.bicliques import BicliqueCounter, Counters, RaggedBicliques
 from repro.core.bitset import BitsetUniverse, popcount_words
 from repro.core.localcount import LocalCounter
 from repro.core.tasks import build_root_task
@@ -482,21 +482,22 @@ class TestDeliveryAndAdmission:
             )
             for t in tasks
         ])
-        bulk = em.relabeled(prepared)
-        assert bulk.order is em.order and bulk.member_ptr is em.member_ptr
-        n = 0
-        for i in range(len(tasks)):
-            for (L, R), (bl, br) in zip(em.pairs(i), bulk.pairs(i)):
-                el, er = prepared.biclique_to_input_labels(L, R)
-                assert bl.dtype == el.dtype == np.int64
-                assert bl.tolist() == el.tolist()
-                assert br.tolist() == er.tolist()
-                n += 1
-        assert n == len(em) > 1
+        bulk = RaggedBicliques.relabeled(em, prepared)
+        assert len(bulk) == len(em) > 1
+        for k in range(len(em)):
+            el, er = prepared.biclique_to_input_labels(
+                em.left[em.left_ptr[k]:em.left_ptr[k + 1]],
+                em.right[em.right_ptr[k]:em.right_ptr[k + 1]],
+            )
+            bl = bulk.left[bulk.left_ptr[k]:bulk.left_ptr[k + 1]]
+            br = bulk.right[bulk.right_ptr[k]:bulk.right_ptr[k + 1]]
+            assert bl.dtype == el.dtype == np.int64
+            assert bl.tolist() == el.tolist()
+            assert br.tolist() == er.tolist()
 
     def test_swapped_graph_bulk_delivery_identical(self):
-        """The once-per-batch relabel delivers what the per-emission
-        relabel delivered: same arrays, dtypes and order."""
+        """Batched and unbatched runs deliver the same relabelled
+        arrays, dtypes and order."""
         g = self._swapped_graph()
 
         def run(batch_tasks):
@@ -516,9 +517,9 @@ class TestDeliveryAndAdmission:
         assert r_on.sim_time == r_off.sim_time
 
     def test_swapped_graph_robust_runs_match_plain(self, tmp_path):
-        """A fault-plan run (bulk path, per-task dedup) and a
-        checkpoint-resumed run (per-emission path, prepared-label
-        records) both report the plain set in input labels."""
+        """A fault-plan run (per-task dedup) and a checkpoint-resumed
+        run (the fill seeded from the checkpoint's prepared-label block)
+        both report the plain set in input labels."""
         from repro.gpusim.faults import FaultPlan
 
         g = self._swapped_graph()

@@ -16,12 +16,12 @@ import pytest
 from repro.checkpoint import (
     CheckpointError,
     CheckpointWriter,
-    EmissionRecord,
     Snapshot,
     TaskRecord,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.core import RaggedBicliques
 from repro.gmbe import GMBEConfig, gmbe_gpu
 from repro.gpusim.device import V100
 from repro.gpusim.faults import FaultPlan
@@ -38,7 +38,9 @@ def _snapshot(**over):
         n_roots=10,
         tasks=[TaskRecord(lineage=(3,), left=[0], right=[1, 2],
                           cands=[4], counts=[2], needs_check=False)],
-        emissions=[EmissionRecord(lineage=(1,), seq=0, left=[0], right=[1])],
+        emissions=RaggedBicliques.from_bicliques(
+            [((0,), (1,)), ((2, 3), (1, 4, 5))]
+        ),
         executed=[(1,)],
         counters={"maximal": 1},
         elapsed_cycles=12.5,
@@ -57,7 +59,7 @@ class TestSnapshotFormat:
         assert back.root_cursor == 5 and back.n_roots == 10
         assert back.tasks[0].lineage == (3,)
         assert back.tasks[0].right == [1, 2]
-        assert back.emissions[0].lineage == (1,)
+        assert back.emissions == [((0,), (1,)), ((2, 3), (1, 4, 5))]
         assert back.executed == [(1,)]
         assert back.counters == {"maximal": 1}
         assert back.elapsed_cycles == 12.5
@@ -91,6 +93,44 @@ class TestSnapshotFormat:
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="format version 999"):
             load_checkpoint(path)
+
+    def test_v2_snapshot_is_refused(self, tmp_path):
+        data = json.loads(_snapshot().to_json())
+        data["version"] = 2
+        data["emissions"] = [[[1], 0, [0], [1]]]  # v2 per-emission rows
+        path = tmp_path / "v2.ckpt"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="format version 2"):
+            load_checkpoint(path)
+
+    def test_emissions_are_one_ragged_block(self):
+        data = json.loads(_snapshot().to_json())
+        assert data["emissions"] == {
+            "left": [0, 2, 3], "left_lens": [1, 2],
+            "right": [1, 1, 4, 5], "right_lens": [1, 3],
+        }
+        empty = _snapshot(emissions=RaggedBicliques.from_bicliques(()))
+        assert len(Snapshot.from_json(empty.to_json()).emissions) == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("left_lens", [1, 1]),  # lengths do not sum to the ids
+        ("right_lens", [-1, 5]),  # a negative length
+        ("right", [1, -1, 4, 5]),  # a negative id
+        ("left", "0,2,3"),  # not a list
+        ("left", [0, 2.5, 3]),  # not integers
+        ("right_lens", [4]),  # record counts differ between sides
+    ])
+    def test_malformed_emissions_name_the_field(self, field, value):
+        data = json.loads(_snapshot().to_json())
+        data["emissions"][field] = value
+        with pytest.raises(CheckpointError, match="emissions"):
+            Snapshot.from_json(json.dumps(data))
+
+    def test_emissions_not_an_object(self):
+        data = json.loads(_snapshot().to_json())
+        data["emissions"] = [[[1], 0, [0], [1]]]
+        with pytest.raises(CheckpointError, match="emissions"):
+            Snapshot.from_json(json.dumps(data))
 
     def test_missing_fields_are_actionable(self, tmp_path):
         data = json.loads(_snapshot().to_json())

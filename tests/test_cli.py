@@ -70,6 +70,31 @@ class TestCommands:
         assert page.count(" | ") == 3
         assert page_sharded.split("--- page", 1)[1] == page
 
+    #: sha256 of ``gmbe run Mti --output`` per algorithm: the file's
+    #: bytes and record order, with or without ``--page-limit``
+    _OUTPUT_SHA256 = {
+        "gmbe": "ba81d8460cb4b93acbeb31bb32883884"
+                "469ab9313666c4895f34e95b73a86b62",
+        "gmbe --shards 2": "db3ec34a23cb21de48a277af6d386125"
+                           "05109c68356ee0950c8836106eca4b53",
+        "gmbe-host": "ba81d8460cb4b93acbeb31bb32883884"
+                     "469ab9313666c4895f34e95b73a86b62",
+        "oombea": "b08135bdd49c9ff0f4775964d93240567"
+                  "a946f7a6bce11823ef9afed23197508",
+    }
+
+    @pytest.mark.parametrize("page", [False, True], ids=["all", "paged"])
+    @pytest.mark.parametrize("algo", sorted(_OUTPUT_SHA256))
+    def test_run_output_file_is_pinned(self, tmp_path, capsys, algo, page):
+        import hashlib
+
+        out = tmp_path / "out.txt"
+        argv = ["run", "Mti", "--algo", *algo.split(), "--output", str(out)]
+        assert main(argv + (["--page-limit", "3"] if page else [])) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self._OUTPUT_SHA256[algo]
+        assert ("--- page" in capsys.readouterr().out) == page
+
     def test_run_variants(self, tmp_path, paper_graph, capsys):
         gpath = tmp_path / "g.tsv"
         write_edge_list(paper_graph, gpath)

@@ -121,9 +121,7 @@ def _leaf_kernel(graph, scheduling, backend):
     config = GMBEConfig(scheduling=scheduling, set_backend=backend)
     prepared = prepare(graph, order=config.order)
     dev = A100.with_(warps_per_sm=config.warps_per_sm)
-    ledger = kernel_mod._EmissionLedger(
-        prepared, None, robust=False, keep_records=False
-    )
+    ledger = kernel_mod._EmissionLedger(fill=False, robust=False)
     return kernel_mod._Kernel(
         prepared, graph, config, dev, 1, ledger, root_mask=None,
         snapshot=None, fault_plan=None, writer=None, collect_stats=False,
@@ -283,14 +281,16 @@ class TestEmissionModeMatrix:
         ckpt = str(tmp_path / "halt.ckpt")
         first, _ = _run(case, checkpoint_path=ckpt, halt_after_tasks=7)
         assert first.extras["halted"]
-        # every emission so far is recorded once, numbered 0..n-1 within
-        # its lineage (seq 0 is the task's own node biclique)
-        records = load_checkpoint(ckpt).emissions
-        assert len(records) == first.n_maximal
-        seqs = {}
-        for rec in records:
-            seqs.setdefault(tuple(rec.lineage), []).append(rec.seq)
-        assert all(sorted(s) == list(range(len(s))) for s in seqs.values())
+        # every emission so far is recorded once, in prepared labels
+        graph, scheduling, batch_tasks, _deliver, bounds = case
+        recorded = load_checkpoint(ckpt).emissions.relabeled(
+            prepare(_graph(graph))
+        ).to_list()
+        assert len(recorded) == len(set(recorded)) == first.n_maximal
+        delivered = _plain((graph, scheduling, batch_tasks, True, bounds))[1]
+        assert set(recorded) <= {
+            (tuple(left), tuple(right)) for *_, left, right in delivered
+        }
         res, out = _run(case, checkpoint_path=ckpt, resume=True)
         assert sorted(out) == sorted(plain_out)
         assert res.n_maximal == plain.n_maximal == _n_delivered(case)
@@ -337,8 +337,9 @@ class TestPerfbenchProbes:
                 run()
             return {name for _op, name in tracer.layer_times()}
 
-        # The API's collector is filled in bulk, so ``core.emit`` times
-        # only a per-emission user sink.
+        # The kernel relabels its run as one block for every sink, so
+        # ``core.emit`` (``relabeling_sink``) is reached only by
+        # ``gmbe_host`` and the CPU baselines.
         api = layers(lambda: enumerate_maximal_bicliques(graph))
         assert {
             "core.batch", "gmbe.execute", "gmbe.seq_task", "gpusim.sched",
@@ -347,9 +348,10 @@ class TestPerfbenchProbes:
         assert "core.emit" not in api
         names = layers(lambda: kernel_mod.gmbe_gpu(graph, BicliqueCounter()))
         assert {
-            "core.batch", "core.emit", "gmbe.execute", "gmbe.seq_task",
-            "gpusim.sched", "graph.prepare",
+            "core.batch", "gmbe.execute", "gmbe.seq_task", "gpusim.sched",
+            "graph.prepare",
         } <= names
+        assert "core.emit" not in names
         after = vars(kernel_mod)
         assert after.keys() == before.keys()
         assert all(after[k] is v for k, v in before.items())

@@ -349,7 +349,7 @@ class TestCheckpointWireFormat:
 
         from repro.checkpoint import CHECKPOINT_VERSION, Snapshot
 
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         snap = Snapshot(
             graph_fingerprint="f", config_signature=[("k", 1)],
             device_name="A100", n_gpus=1, root_cursor=0, n_roots=4,
