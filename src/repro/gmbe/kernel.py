@@ -864,6 +864,9 @@ def gmbe_gpu(
     n_gpus:
         Device count; the root counter is shared (atomicInc_system, §5)
         while task queues stay per-device.
+    local_queue_capacity:
+        Tasks each SM's local queue holds before spilling to the global
+        queue (an integer >= 0; 0 spills every task).
     root_pull_surcharges:
         Optional per-GPU extra cycles on every shared-counter pull —
         the hook :func:`repro.gmbe.cluster.gmbe_cluster` uses to model
@@ -913,11 +916,18 @@ def gmbe_gpu(
         task.
     """
     _check_positive_int("n_gpus", n_gpus)
+    if (isinstance(local_queue_capacity, bool)
+            or not isinstance(local_queue_capacity, numbers.Integral)
+            or local_queue_capacity < 0):
+        raise ValueError(
+            f"local_queue_capacity must be a non-negative integer, "
+            f"got {local_queue_capacity!r}"
+        )
     _check_positive_int("checkpoint_every", checkpoint_every)
     if halt_after_tasks is not None:
         _check_positive_int("halt_after_tasks", halt_after_tasks)
     if resume and checkpoint_path is None:
-        raise ValueError("resume=True requires checkpoint_path")
+        raise ValueError("resume requires checkpoint_path")
     writer = None if checkpoint_path is None else CheckpointWriter(
         checkpoint_path, every_tasks=checkpoint_every
     )

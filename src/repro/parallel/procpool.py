@@ -512,12 +512,6 @@ class ProcessWorkerPool:
             self._completed += 1
 
     @property
-    def active(self) -> int:
-        """Tasks currently executing on a worker process."""
-        with self._lock:
-            return sum(1 for s in self._slots if s.task is not None)
-
-    @property
     def completed(self) -> int:
         """Tasks resolved (any outcome) since the pool started."""
         with self._lock:
@@ -544,21 +538,16 @@ class ProcessWorkerPool:
         done, not_done = cf_wait(pending, timeout=timeout)
         return not not_done
 
-    def shutdown(
-        self, wait: bool = True, *, drain_timeout: float | None = None
-    ) -> bool:
+    def shutdown(self, wait: bool = True) -> bool:
         """Stop the pool; True if every task finished before shutdown.
 
-        ``drain_timeout`` waits up to that many seconds for outstanding
-        work; otherwise ``wait=True`` waits for all of it and
-        ``wait=False`` does not wait.  Work still running when the pool
-        stops is not abandoned: worker processes are killed and their
-        futures fail with :class:`PoolBrokenError`, so no caller is ever
-        left waiting on a future nothing will resolve.
+        ``wait=True`` waits for all outstanding work and ``wait=False``
+        does not wait.  Work still running when the pool stops is not
+        abandoned: worker processes are killed and their futures fail
+        with :class:`PoolBrokenError`, so no caller is ever left waiting
+        on a future nothing will resolve.
         """
-        if drain_timeout is not None:
-            drained = self.drain(drain_timeout)
-        elif wait:
+        if wait:
             drained = self.drain(None)
         else:
             drained = self.outstanding == 0
@@ -748,11 +737,9 @@ class ProcessWorkerPool:
         if reader is slot.hb:
             try:
                 while slot.hb.poll():
-                    beat = slot.hb.recv()
+                    _pid, payload = slot.hb.recv()
                     self.supervisor.beat(slot.worker_id)
-                    # (pid, payload) beats carry optional task telemetry;
-                    # bare-int beats from older workers still count.
-                    payload = beat[1] if isinstance(beat, tuple) else None
+                    # a beat's payload carries optional task telemetry
                     if payload is not None and self.on_aux is not None:
                         try:
                             self.on_aux(slot.worker_id, payload)

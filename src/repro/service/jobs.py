@@ -16,22 +16,14 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..api import validate_shards, validate_size_filters
+from ..api import _ALGORITHMS, validate_shards, validate_size_filters
 from ..gmbe import GMBEConfig
 from ..store import StoredResultSet
 
 __all__ = ["Job", "JobResult", "JobStatus", "SERVICE_ALGORITHMS"]
 
-#: Algorithms a job may request — mirrors :data:`repro.api._ALGORITHMS`.
-SERVICE_ALGORITHMS = (
-    "gmbe",
-    "gmbe-host",
-    "mbea",
-    "imbea",
-    "pmbe",
-    "oombea",
-    "parmbe",
-)
+#: Algorithms a job may request: every one the one-shot API runs.
+SERVICE_ALGORITHMS = tuple(_ALGORITHMS)
 
 #: The one store behind every result that carries no bicliques.
 _EMPTY_STORE = StoredResultSet((), 0)

@@ -46,6 +46,7 @@ import numpy as np
 from ..core.bicliques import Counters, RaggedBicliques
 from ..gmbe.cluster import ClusterSpec
 from ..gmbe.config import GMBEConfig
+from ..gmbe.kernel import _check_positive_int
 from ..gpusim.device import A100, DeviceSpec
 from ..graph.bipartite import BipartiteGraph
 from ..parallel.procpool import (
@@ -320,9 +321,8 @@ class ShardCoordinator:
     graph, n_shards:
         The input and how many ways to split its root-task space.
     config:
-        Kernel knobs shared by every shard, or the string ``"tuned"``
-        to resolve a per-graph tuned config from the tuning store
-        (order is re-pinned to the plan's in either case).
+        Kernel knobs shared by every shard (default :class:`GMBEConfig`;
+        order is re-pinned to the plan's).
     balancer:
         Ownership assignment strategy (:data:`~repro.sharding.BALANCERS`).
     plan:
@@ -330,7 +330,7 @@ class ShardCoordinator:
         and ``n_shards``).
     device, n_gpus_per_shard:
         Dedicated-placement hardware: each shard gets its own
-        ``device`` with this many GPUs.
+        ``device`` with this many GPUs (a positive integer).
     cluster:
         Cluster placement instead: shards round-robin over the
         cluster's GPUs (one GPU per shard, plus that GPU's
@@ -356,8 +356,8 @@ class ShardCoordinator:
         ``extras["pool_stats"]`` counts the supervision events of this
         run only, not the lifetime of a shared pool.
     max_shard_attempts:
-        Attempt budget per shard under process dispatch (>= 1); thread
-        dispatch fails fast.
+        Attempt budget per shard under process dispatch (a positive
+        integer); thread dispatch fails fast.
     supervisor_policy:
         Heartbeat/deadline/restart knobs for a private process pool
         (see :class:`~repro.parallel.SupervisorPolicy`).
@@ -368,13 +368,12 @@ class ShardCoordinator:
         ``n_attempts`` attempts.  The chaos harness for the supervision
         tests — never set it outside one.
     checkpoint_dir, checkpoint_every:
-        Enable per-shard checkpointing under this directory.
+        Enable per-shard checkpointing under this directory, a snapshot
+        every ``checkpoint_every`` (a positive integer) completed tasks.
     fault_plans, halt_after_tasks:
         Per-shard robustness injection, keyed by shard id (shards not
         in the mapping run clean).  A key that names no shard raises
         :class:`ValueError`, as it does in ``chaos_kills``.
-    tuning_store:
-        Store for ``config="tuned"`` resolution (default store if None).
     telemetry:
         Explicit telemetry; defaults to ambient discovery.  Both pools
         give the **same span tree**: each shard's ``sim.kernel``,
@@ -399,7 +398,7 @@ class ShardCoordinator:
         graph: BipartiteGraph,
         n_shards: int,
         *,
-        config: GMBEConfig | str | None = None,
+        config: GMBEConfig | None = None,
         balancer: str = "greedy",
         plan: ShardPlan | None = None,
         device: DeviceSpec = A100,
@@ -414,15 +413,19 @@ class ShardCoordinator:
         checkpoint_every: int = 256,
         fault_plans: Mapping[int, object] | None = None,
         halt_after_tasks: Mapping[int, int] | None = None,
-        tuning_store=None,
         telemetry=None,
         flight_dir: str | None = None,
     ) -> None:
         self.graph = graph
         self.n_shards = n_shards
-        self._config_spec = config
+        self.config = GMBEConfig() if config is None else config
         self.balancer = balancer
         self.device = device
+        # Per-shard arguments are checked here, before any shard runs:
+        # a bad one would otherwise fail every shard and quarantine it.
+        _check_positive_int("n_gpus_per_shard", n_gpus_per_shard)
+        _check_positive_int("checkpoint_every", checkpoint_every)
+        _check_positive_int("max_shard_attempts", max_shard_attempts)
         self.n_gpus_per_shard = n_gpus_per_shard
         self.cluster = cluster
         if isinstance(pool, ProcessWorkerPool):
@@ -437,10 +440,6 @@ class ShardCoordinator:
                 f"ProcessWorkerPool, got {pool!r}"
             )
         self.n_workers = n_workers
-        if max_shard_attempts < 1:
-            raise ValueError(
-                f"max_shard_attempts must be >= 1, got {max_shard_attempts}"
-            )
         self.max_shard_attempts = max_shard_attempts
         self.supervisor_policy = supervisor_policy
         self.chaos_kills = dict(chaos_kills) if chaos_kills else {}
@@ -462,7 +461,6 @@ class ShardCoordinator:
                         f"{name} key {key!r} is not a shard id: expected "
                         f"an int in [0, {n_shards}) for n_shards={n_shards}"
                     )
-        self.tuning_store = tuning_store
         self.telemetry = telemetry
         self.flight_dir = flight_dir
         if plan is not None:
@@ -475,29 +473,6 @@ class ShardCoordinator:
         self._plan = plan
 
     # ------------------------------------------------------------------
-    def _resolve_config(self, telemetry) -> GMBEConfig:
-        """Materialize the shared shard config (handles ``"tuned"``)."""
-        spec = self._config_spec
-        if spec is None:
-            return GMBEConfig()
-        if isinstance(spec, str):
-            if spec != "tuned":
-                raise ValueError(
-                    f"config must be a GMBEConfig or the string 'tuned', "
-                    f"got {spec!r}"
-                )
-            from ..tuning import resolve_config
-
-            resolved, _hit = resolve_config(
-                self.graph,
-                store=self.tuning_store,
-                device=self.cluster.device if self.cluster else self.device,
-                n_gpus=1 if self.cluster else self.n_gpus_per_shard,
-                telemetry=telemetry,
-            )
-            return resolved
-        return spec
-
     def _placement(self) -> tuple[list[int], list[DeviceSpec], list[float | None], list[int]]:
         """Per-shard (gpu index, device, surcharge, n_gpus)."""
         if self.cluster is None:
@@ -520,16 +495,10 @@ class ShardCoordinator:
     def plan_shards(self) -> ShardPlan:
         """Build (or return the cached) ownership plan."""
         if self._plan is None:
-            base = self._config_spec
-            order = (
-                base.order
-                if isinstance(base, GMBEConfig)
-                else GMBEConfig().order
-            )
             self._plan = ShardPlan.build(
                 self.graph,
                 self.n_shards,
-                order=order,
+                order=self.config.order,
                 balancer=self.balancer,
             )
         return self._plan
@@ -550,10 +519,11 @@ class ShardCoordinator:
         ) as job_span:
             with tracer.span("shard.plan") as plan_span:
                 plan = self.plan_shards()
-                config = self._resolve_config(given)
+                config = self.config
                 if config.order != plan.order:
-                    # A tuned entry may carry any order; ownership was
-                    # computed under the plan's, which must win.
+                    # A given plan may be built under another order;
+                    # ownership was computed under the plan's, which
+                    # must win.
                     config = config.with_(order=plan.order)
                 if telemetry is not None:
                     plan_span.set_attr("n_roots", plan.n_roots)

@@ -85,6 +85,16 @@ class TestCorrectness:
         halted = gmbe_gpu(paper_graph, halt_after_tasks=value)
         assert halted.extras["halted"]
 
+    @pytest.mark.parametrize("value", [1.5, True, "2", -1])
+    def test_local_queue_capacity_is_validated(self, paper_graph, value):
+        with pytest.raises(ValueError, match="local_queue_capacity"):
+            gmbe_gpu(paper_graph, local_queue_capacity=value)
+
+    @pytest.mark.parametrize("value", [0, np.int64(8)])
+    def test_local_queue_capacity_accepts_integers(self, paper_graph, value):
+        res = gmbe_gpu(paper_graph, local_queue_capacity=value)
+        assert res.n_maximal == 6
+
     def test_sharded_n_gpus_is_validated(self, paper_graph):
         from repro.sharding import ShardCoordinator
 

@@ -274,6 +274,16 @@ class TestCrashResume:
         ):
             ShardCoordinator(graph, 2, pool=pool, **{name: mapping})
 
+    @pytest.mark.parametrize(
+        "name", ["n_gpus_per_shard", "checkpoint_every", "max_shard_attempts"]
+    )
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "2", True])
+    def test_per_shard_integers_are_checked_at_construction(
+        self, graph, name, value
+    ):
+        with pytest.raises(ValueError, match=name):
+            ShardCoordinator(graph, 2, pool="process", **{name: value})
+
     def test_checkpoints_are_plan_scoped(self, graph, tmp_path):
         plan4 = ShardPlan.build(graph, 4)
         plan2 = ShardPlan.build(graph, 2)
